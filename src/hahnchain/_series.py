@@ -5,7 +5,8 @@ sign and can dwarf the result, so fixed precision alone cannot reach the
 tolerances the identity checks demand at larger sizes.  Every sum therefore
 runs through escalating tiers -- vector double, vector double-double, mpmath at
 a computed precision -- with the running max |term| acting as an a-posteriori
-rounding certificate for each tier.
+rounding certificate for each tier.  One function, certified_row, applies the
+same absolute-or-relative acceptance test at every tier.
 """
 
 import math
@@ -19,6 +20,7 @@ _EPS = 2.220446049250313e-16
 # safety factor on the accumulated-rounding estimate err <= C * nterms * eps * max|term|
 _CERT = 8.0
 _MAX_DPS = 3000
+_TINY = 5e-324  # smallest subnormal double
 
 
 # ---------------------------------------------------------------------------
@@ -98,96 +100,66 @@ def q_log_maxterm(n, x, a, b, q, m):
 
 
 # ---------------------------------------------------------------------------
-# certification drivers
+# certification
 # ---------------------------------------------------------------------------
 
-def _mp_digits(log10_maxterm, log10_target, nterms):
-    need = log10_maxterm - log10_target + math.log10(_CERT * max(nterms, 1)) + 6
-    return int(min(max(30, math.ceil(need)), _MAX_DPS))
+def _accepted(s, err, abs_target, rel):
+    # err within the absolute or relative target, or the value certifiably
+    # rounds to zero
+    mag = np.abs(s)
+    return (err <= abs_target + rel * (mag - err)) | (mag + err < _TINY)
 
 
-def _log_target(t):
-    return math.log10(max(t, 1e-290))
+def _mp_certified(family_args, n, x, s, err, maxterm, abs_target, rel):
+    """One series value from the mpmath tier, certified like the vector tiers.
+
+    s, err and maxterm come from the double-double tier.  The first precision
+    meets the target that the certified lower bound |s| - err on the value
+    implies; the digits double until the bound is met.
+    """
+    log_mt = (math.log10(maxterm) if math.isfinite(maxterm) and maxterm > 0
+              else q_log_maxterm(n, x, *family_args))
+    floor = abs(s) - err
+    floor = floor if 0.0 < floor < math.inf else 0.0  # nan fails both tests
+    lead = log_mt + math.log10(_CERT * n)
+    dps = max(30, math.ceil(lead - math.log10(max(abs_target + rel * floor, _TINY))) + 2)
+    while True:
+        dps = min(dps, _MAX_DPS)
+        value = q_mp(n, x, *family_args, dps)
+        if _accepted(value, 10.0 ** (lead - dps), abs_target, rel):
+            return value
+        if dps == _MAX_DPS:
+            raise ArithmeticError(
+                f"q-Hahn series (n={n}, x={x}) not certified at {_MAX_DPS} digits")
+        dps *= 2
 
 
-def certified_row(family_args, n, xs, abs_target):
-    """Series values for one degree over an x grid, certified to abs_target.
+def certified_row(family_args, n, xs, abs_target=0.0, rel=0.0):
+    """Series values for one degree over an x grid, each certified.
 
-    family_args = (a, b, q, m); abs_target is an array of allowed absolute
-    errors, same length as xs.
+    family_args = (a, b, q, m); abs_target is a scalar or an array like xs.
+    Entry i is accepted once its certified rounding bound err_i satisfies
+    err_i <= abs_target_i + rel * (|s_i| - err_i), or once |s_i| + err_i is
+    below the smallest subnormal so the value certifiably rounds to zero; the
+    returned double adds one final rounding.  Raises ArithmeticError if an
+    entry cannot be certified at _MAX_DPS digits.
     """
     xs = np.asarray(xs)
     if n == 0:
         return np.ones(xs.shape)
-    nterms = n
-    total, maxterm = q_row_double(n, xs, *family_args)
-    err = _CERT * nterms * _EPS * maxterm
-    err[np.asarray(xs) == 0] = 0.0  # series is exactly 1 at x = 0 in every tier
-    bad = ~(err <= abs_target)
-    if not bad.any():
-        return total
-    sh, _, maxterm_dd = q_row_dd(n, xs, *family_args)
-    err_dd = _CERT * nterms * dd.EPS * maxterm_dd
-    total = np.where(bad, sh, total)
-    bad = bad & ~(err_dd <= abs_target)
-    idx = np.nonzero(bad)[0]
-    if idx.size == 0:
-        return total
-    log_mt = {
-        i: (math.log10(maxterm_dd[i]) if math.isfinite(maxterm_dd[i]) and maxterm_dd[i] > 0
-            else q_log_maxterm(n, int(xs[i]), *family_args))
-        for i in idx
-    }
-    dps = max(_mp_digits(log_mt[i], _log_target(abs_target[i]), nterms) for i in idx)
-    with mpmath.workdps(dps):
-        for i in idx:
-            total[i] = q_mp(n, int(xs[i]), *family_args, dps)
+    abs_target = np.full(xs.shape, abs_target)
+    nterms = np.minimum(n, xs)  # the series is exactly 1 at x = 0 in every tier
+    # an overflowing tier gives an inf or nan bound, which fails the test
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, maxterm = q_row_double(n, xs, *family_args)
+        err = (_CERT * _EPS) * nterms * maxterm
+        idx = np.nonzero(~_accepted(total, err, abs_target, rel))[0]
+        if idx.size == 0:
+            return total
+        sh, _, maxterm = q_row_dd(n, xs[idx], *family_args)
+        total[idx] = sh
+        err = (_CERT * dd.EPS) * nterms[idx] * maxterm
+        bad = ~_accepted(sh, err, abs_target[idx], rel)
+    for i, s, e, mt in zip(idx[bad], sh[bad], err[bad], maxterm[bad]):
+        total[i] = _mp_certified(family_args, n, int(xs[i]), s, e, mt, abs_target[i], rel)
     return total
-
-
-def certified_row_rel(family_args, n, xs, rel_target):
-    """Series values over an x grid, each certified to a relative tolerance."""
-    xs = np.asarray(xs)
-    if n == 0:
-        return np.ones(xs.shape)
-    total, maxterm = q_row_double(n, xs, *family_args)
-    err = _CERT * n * _EPS * maxterm
-    err[np.asarray(xs) == 0] = 0.0
-    bad = ~(err <= rel_target * np.abs(total))
-    for i in np.nonzero(bad)[0]:
-        total[i] = certified_value(family_args, n, int(xs[i]), rel_target)
-    return total
-
-
-def certified_value(family_args, n, x, rel_target):
-    """Scalar series value certified to a relative tolerance."""
-    nterms = min(n, x)
-    if nterms == 0:
-        return 1.0
-    xs = np.array([x])
-    total, maxterm = q_row_double(n, xs, *family_args)
-    s, mt = float(total[0]), float(maxterm[0])
-    if _CERT * nterms * _EPS * mt <= rel_target * abs(s):
-        return s
-    sh, _, mtd = q_row_dd(n, xs, *family_args)
-    s, mt = float(sh[0]), float(mtd[0])
-    if _CERT * nterms * dd.EPS * mt <= rel_target * abs(s):
-        return s
-    if math.isfinite(mt) and mt > 0:
-        lmt = math.log10(mt)
-    else:
-        lmt = q_log_maxterm(n, x, *family_args)
-    guess = abs(s) if s != 0.0 and math.isfinite(s) else 1.0
-    for _ in range(4):
-        dps = _mp_digits(lmt, math.log10(rel_target * guess), nterms)
-        s = q_mp(n, x, *family_args, dps)
-        resolved = 10.0 ** (lmt - dps + math.log10(_CERT * nterms) + 2)
-        if s == 0.0:
-            if resolved <= rel_target * guess * 1e-3:
-                return 0.0
-            guess = guess * 1e-6
-            continue
-        if resolved <= rel_target * abs(s):
-            return s
-        guess = abs(s)
-    return s

@@ -2,7 +2,8 @@
 
 Commands: couplings, spectrum, eigvecs, correlate, pst-scan, verify.
 Output is JSON (default) or CSV, to stdout or --output.  Exit codes:
-0 success, 1 invalid parameters, 2 verification failure, 3 I/O error.
+0 success, 1 invalid parameters or a value that cannot be computed or
+printed, 2 verification failure, 3 I/O error.
 """
 
 import json
@@ -52,11 +53,18 @@ def _json_text(payload):
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
+def _csv_field(v):
+    if not isinstance(v, (float, np.floating)):
+        return str(v)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite value {v} in output")
+    return repr(float(v))
+
+
 def _csv_text(header, rows):
     lines = [header]
     for row in rows:
-        lines.append(",".join(
-            repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row))
+        lines.append(",".join(_csv_field(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -69,6 +77,8 @@ def _spec_from(m, alpha, beta, q):
 def _time_grid(t_min, t_max, steps):
     if steps < 1:
         raise ValueError(f"--steps must be positive, got {steps}")
+    if not (math.isfinite(t_min) and math.isfinite(t_max)):
+        raise ValueError("--t-min and --t-max must be finite")
     if steps > 1 and not t_max > t_min:
         raise ValueError("--t-max must exceed --t-min for more than one step")
     return np.linspace(t_min, t_max, steps)
@@ -234,7 +244,7 @@ def main(argv=None):
         cli.main(args=argv, standalone_mode=False)
     except VerificationFailure:
         sys.exit(2)
-    except (ValueError, click.ClickException, click.exceptions.Abort) as exc:
+    except (ValueError, ArithmeticError, click.ClickException, click.exceptions.Abort) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     except OSError as exc:

@@ -8,7 +8,7 @@ rationals A/E and B/E with E a power of two, so every term coefficient of the
 terminating series is an integer over one common denominator per degree.  Each
 value then costs one integer Horner sum and one correctly rounded division, at
 any size and without cancellation.  The scalar weight, norm and orthonormal
-functions keep the log-gamma forms.
+functions are entries of the same exact vectors and tables.
 """
 
 import math
@@ -25,8 +25,6 @@ __all__ = [
     "hahn_orthonormal",
     "diff_residual_1",
     "diff_residual_2",
-    "log_weight",
-    "log_norm",
     "weight_vector",
     "norm_vector",
     "polynomial_table",
@@ -165,49 +163,46 @@ def hahn_Q(n: int, x: int, p: HahnParams) -> float:
     return _to_float(_horner(coeffs, x), coeffs[0])
 
 
-def log_weight(x: int, p: HahnParams) -> float:
-    """ln of the orthogonality weight at lattice point x."""
-    _check_x(x, p)
-    a, b, m = p.alpha, p.beta, p.m
-    lg = math.lgamma
-    return (lg(a + x + 1) - lg(a + 1) - lg(x + 1)
-            + lg(b + m - x + 1) - lg(b + 1) - lg(m - x + 1))
-
-
 def hahn_weight(x: int, p: HahnParams) -> float:
-    """Orthogonality weight binom(alpha+x, x) * binom(m+beta-x, m-x)."""
-    return math.exp(log_weight(x, p))
-
-
-def log_norm(n: int, p: HahnParams) -> float:
-    """ln of the squared norm h_n of Q_n under the lattice weight."""
-    _check_n(n, p)
-    a, b, m = p.alpha, p.beta, p.m
-    lg = math.lgamma
-    # the (2n+a+b+1) factor of (n+a+b+1)_{m+1} cancels against the
-    # denominator, leaving a product of strictly positive factors
-    s = 0.0
-    base = n + a + b + 1.0
-    for i in range(m + 1):
-        if i != n:
-            s += math.log(base + i)
-    s += lg(b + 1 + n) - lg(b + 1)
-    s += lg(n + 1) + lg(m - n + 1)
-    s -= lg(a + 1 + n) - lg(a + 1)
-    s -= 2.0 * lg(m + 1)
-    return s
+    """Orthogonality weight binom(alpha+x, x) * binom(m+beta-x, m-x), correctly
+    rounded."""
+    _check_x(x, p)
+    return _to_float(*_weights_and_norms(p)[0][x])
 
 
 def hahn_norm(n: int, p: HahnParams) -> float:
-    """Squared norm h_n; always positive on the admissible domain."""
-    return math.exp(log_norm(n, p))
+    """Squared norm h_n, correctly rounded; always positive on the admissible
+    domain."""
+    _check_n(n, p)
+    return _to_float(*_weights_and_norms(p)[1][n])
 
 
 def hahn_orthonormal(n: int, x: int, p: HahnParams) -> float:
-    """Orthonormal function sqrt(w(x)/h_n) * Q_n(x), assembled in log space."""
+    """Orthonormal function sqrt(w(x)/h_n) * Q_n(x); equal to the entry of
+    orthonormal_table."""
     _check_n(n, p)
     _check_x(x, p)
-    return math.exp(0.5 * (log_weight(x, p) - log_norm(n, p))) * hahn_Q(n, x, p)
+    return float(_orthonormal_rows(p, [n])[0, x])
+
+
+def _identity_terms(n, x, p, q0, q1, s0, s1):
+    """Terms of the two contiguous identities, t1 - t2 - t3 = 0 and
+    u1 - u2 + u3 = 0, from q0, q1 = Q_n(x), Q_n(x+1) of p and s0, s1 the same
+    of p.shifted().  Broadcasts over numpy arrays.
+    """
+    a, b, m = p.alpha, p.beta, p.m
+    t = ((m + b - x) * q0, (m - x) * q1, (n + a + 1.0) * (n + b) / (a + 1.0) * s0)
+    u = ((x + 1.0) * s0, (a + x + 2.0) * s1, (a + 1.0) * q1)
+    return t, u
+
+
+def _identity_at(n, x, p):
+    _check_n(n, p)
+    if not 0 <= x <= p.m - 1:
+        raise ValueError(f"x={x} outside [0, {p.m - 1}]")
+    sh = p.shifted()
+    return _identity_terms(n, x, p, hahn_Q(n, x, p), hahn_Q(n, x + 1, p),
+                           hahn_Q(n, x, sh), hahn_Q(n, x + 1, sh))
 
 
 def diff_residual_1(n: int, x: int, p: HahnParams) -> float:
@@ -216,14 +211,8 @@ def diff_residual_1(n: int, x: int, p: HahnParams) -> float:
     (m+b-x) Q_n(x; a,b) - (m-x) Q_n(x+1; a,b)
         = (n+a+1)(n+b)/(a+1) * Q_n(x; a+1, b-1).
     """
-    _check_n(n, p)
-    if not 0 <= x <= p.m - 1:
-        raise ValueError(f"x={x} outside [0, {p.m - 1}]")
-    a, b, m = p.alpha, p.beta, p.m
-    sh = p.shifted()
-    lhs = (m + b - x) * hahn_Q(n, x, p) - (m - x) * hahn_Q(n, x + 1, p)
-    rhs = (n + a + 1.0) * (n + b) / (a + 1.0) * hahn_Q(n, x, sh)
-    return lhs - rhs
+    (t1, t2, t3), _ = _identity_at(n, x, p)
+    return t1 - t2 - t3
 
 
 def diff_residual_2(n: int, x: int, p: HahnParams) -> float:
@@ -231,14 +220,8 @@ def diff_residual_2(n: int, x: int, p: HahnParams) -> float:
 
     (x+1) Q_n(x; a+1,b-1) - (a+x+2) Q_n(x+1; a+1,b-1) = -(a+1) Q_n(x+1; a,b).
     """
-    _check_n(n, p)
-    if not 0 <= x <= p.m - 1:
-        raise ValueError(f"x={x} outside [0, {p.m - 1}]")
-    a = p.alpha
-    sh = p.shifted()
-    return ((x + 1.0) * hahn_Q(n, x, sh)
-            - (a + x + 2.0) * hahn_Q(n, x + 1, sh)
-            + (a + 1.0) * hahn_Q(n, x + 1, p))
+    _, (u1, u2, u3) = _identity_at(n, x, p)
+    return u1 - u2 + u3
 
 
 def weight_vector(p: HahnParams) -> np.ndarray:
@@ -265,27 +248,34 @@ def polynomial_table(p: HahnParams, rel: float = 1e-13) -> np.ndarray:
     return out
 
 
+def _orthonormal_rows(p, degrees):
+    """Rows sqrt(w(x)/h_n) Q_n(x), x = 0..m, for each n in degrees.
+
+    Q_n(x), w(x) and h_n are exact rationals, split into mantissa and power of
+    two so no intermediate leaves the double range; each entry carries a few
+    roundings of relative error, for any m, alpha and beta.
+    """
+    ints = _dyadic(p)
+    w, h = _weights_and_norms(p)
+    sw, kw = zip(*(_sqrt_split(num, den) for num, den in w))
+    sh, kh = zip(*(_sqrt_split(h[n][1], h[n][0]) for n in degrees))
+    f = np.empty((len(degrees), p.m + 1))
+    k = np.empty(f.shape, dtype=np.int64)
+    for i, n in enumerate(degrees):
+        coeffs = _coefficients(n, *ints, p.m)
+        f[i], k[i] = zip(*(_split(_horner(coeffs, x), coeffs[0]) for x in range(p.m + 1)))
+    out = np.ldexp(f * np.outer(sh, sw), k + np.add.outer(kh, kw))
+    np.clip(out, -1.0, 1.0, out=out)  # rounding must not push |S| past its bound 1
+    return out
+
+
 @lru_cache(maxsize=256)
 def orthonormal_table(p: HahnParams) -> np.ndarray:
     """Table S[n, x] = sqrt(w(x)/h_n) Q_n(x) of orthonormal values; rows
     satisfy S @ S.T = I.
 
-    Cached per parameter set; the returned array is read-only.  Q_n(x), w(x)
-    and h_n are exact rationals, split into mantissa and power of two so no
-    intermediate leaves the double range; each entry carries a few roundings
-    of relative error, for any m, alpha and beta.
+    Cached per parameter set; the returned array is read-only.
     """
-    m = p.m
-    ints = _dyadic(p)
-    w, h = _weights_and_norms(p)
-    sw, kw = zip(*(_sqrt_split(num, den) for num, den in w))
-    sh, kh = zip(*(_sqrt_split(den, num) for num, den in h))
-    f = np.empty((m + 1, m + 1))
-    k = np.empty((m + 1, m + 1), dtype=np.int64)
-    for n in range(m + 1):
-        coeffs = _coefficients(n, *ints, m)
-        f[n], k[n] = zip(*(_split(_horner(coeffs, x), coeffs[0]) for x in range(m + 1)))
-    out = np.ldexp(f * np.outer(sh, sw), k + np.add.outer(kh, kw))
-    np.clip(out, -1.0, 1.0, out=out)  # rounding must not push |S| past its bound 1
+    out = _orthonormal_rows(p, range(p.m + 1))
     out.flags.writeable = False
     return out

@@ -81,10 +81,11 @@ def q_hahn_Q(n: int, x: int, p: QHahnParams) -> float:
     """Polynomial value Q_n(q^{-x}) as the terminating basic hypergeometric sum.
 
     min(n, x) + 1 nonzero terms; x = m + 1 is accepted for the identity checks.
+    Certified to 1e-14 relative accuracy at any magnitude.
     """
     _check_n(n, p)
     _check_x(x, p, extended=True)
-    return _series.certified_value((p.alpha, p.beta, p.q, p.m), n, x, _REL)
+    return float(_series.certified_row((p.alpha, p.beta, p.q, p.m), n, [x], rel=_REL)[0])
 
 
 def _weight_step(i, p):
@@ -150,21 +151,35 @@ def q_hahn_orthonormal(n: int, x: int, p: QHahnParams) -> float:
     return math.exp(0.5 * (q_log_weight(x, p) - q_log_norm(n, p))) * q_hahn_Q(n, x, p)
 
 
+def _identity_terms(n, x, p, q0, q1, s0, s1):
+    """Terms of the two q-contiguous identities, t1 - t2 - t3 = 0 and
+    u1 - u2 + u3 = 0, from q0, q1 = Q_n(q^{-x}), Q_n(q^{-x-1}) of p and s0, s1
+    the same of p.shifted().  Broadcasts over numpy arrays.
+    """
+    a, b, q, m = p.alpha, p.beta, p.q, p.m
+    t = ((1.0 - b * q ** (m - x)) * q0, (1.0 - q ** (m - x)) * q1,
+         (1.0 - a * q ** (n + 1)) * (1.0 - b * q ** n) * q ** (m - n - x) / (1.0 - a * q) * s0)
+    u = ((1.0 - q ** (x + 1)) * a * q * s0, (1.0 - a * q ** (x + 2)) * s1, (1.0 - a * q) * q1)
+    return t, u
+
+
+def _identity_at(n, x, p):
+    _check_n(n, p)
+    if not 0 <= x <= p.m - 1:
+        raise ValueError(f"x={x} outside [0, {p.m - 1}]")
+    sh = p.shifted()
+    return _identity_terms(n, x, p, q_hahn_Q(n, x, p), q_hahn_Q(n, x + 1, p),
+                           q_hahn_Q(n, x, sh), q_hahn_Q(n, x + 1, sh))
+
+
 def q_diff_residual_1(n: int, x: int, p: QHahnParams) -> float:
     """LHS - RHS of the first q-contiguous identity at (n, x), x <= m-1:
 
     (1-b q^{m-x}) Q_n(q^{-x}; a,b) - (1-q^{m-x}) Q_n(q^{-x-1}; a,b)
         = (1-a q^{n+1})(1-b q^n) q^{m-n-x} / (1-a q) * Q_n(q^{-x}; aq, b/q).
     """
-    _check_n(n, p)
-    if not 0 <= x <= p.m - 1:
-        raise ValueError(f"x={x} outside [0, {p.m - 1}]")
-    a, b, q, m = p.alpha, p.beta, p.q, p.m
-    sh = p.shifted()
-    lhs = (1.0 - b * q ** (m - x)) * q_hahn_Q(n, x, p) - (1.0 - q ** (m - x)) * q_hahn_Q(n, x + 1, p)
-    rhs = ((1.0 - a * q ** (n + 1)) * (1.0 - b * q ** n) * q ** (m - n - x) / (1.0 - a * q)
-           * q_hahn_Q(n, x, sh))
-    return lhs - rhs
+    (t1, t2, t3), _ = _identity_at(n, x, p)
+    return t1 - t2 - t3
 
 
 def q_diff_residual_2(n: int, x: int, p: QHahnParams) -> float:
@@ -173,14 +188,8 @@ def q_diff_residual_2(n: int, x: int, p: QHahnParams) -> float:
     (1-q^{x+1}) aq Q_n(q^{-x}; aq, b/q) - (1-a q^{x+2}) Q_n(q^{-x-1}; aq, b/q)
         = -(1-a q) Q_n(q^{-x-1}; a, b).
     """
-    _check_n(n, p)
-    if not 0 <= x <= p.m - 1:
-        raise ValueError(f"x={x} outside [0, {p.m - 1}]")
-    a, q = p.alpha, p.q
-    sh = p.shifted()
-    return ((1.0 - q ** (x + 1)) * a * q * q_hahn_Q(n, x, sh)
-            - (1.0 - a * q ** (x + 2)) * q_hahn_Q(n, x + 1, sh)
-            + (1.0 - a * q) * q_hahn_Q(n, x + 1, p))
+    _, (u1, u2, u3) = _identity_at(n, x, p)
+    return u1 - u2 + u3
 
 
 def q_weight_vector(p: QHahnParams) -> np.ndarray:
@@ -227,7 +236,7 @@ def q_polynomial_table(p: QHahnParams, rel: float = 1e-13) -> np.ndarray:
     xs = np.arange(m + 1)
     out = np.empty((m + 1, m + 1))
     for n in range(m + 1):
-        out[n] = _series.certified_row_rel((p.alpha, p.beta, p.q, m), n, xs, rel)
+        out[n] = _series.certified_row((p.alpha, p.beta, p.q, m), n, xs, rel=rel)
     return out
 
 

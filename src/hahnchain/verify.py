@@ -87,52 +87,23 @@ def _orthogonality_residual(m_id):
     return worst
 
 
-def _diff_residuals(m_id):
-    worst1 = worst2 = 0.0
-    for a, b in _CLASSICAL_GRID:
-        p = hahn.HahnParams(a, b, m_id)
-        sh = p.shifted()
-        for n in range(m_id + 1):
-            for x in range(m_id):
-                q0 = hahn.hahn_Q(n, x, p)
-                q1 = hahn.hahn_Q(n, x + 1, p)
-                s0 = hahn.hahn_Q(n, x, sh)
-                s1 = hahn.hahn_Q(n, x + 1, sh)
-                t1 = (m_id + b - x) * q0
-                t2 = (m_id - x) * q1
-                t3 = (n + a + 1.0) * (n + b) / (a + 1.0) * s0
-                scale = max(abs(t1), abs(t2), abs(t3), 1.0)
-                worst1 = max(worst1, abs(t1 - t2 - t3) / scale)
-                u1 = (x + 1.0) * s0
-                u2 = (a + x + 2.0) * s1
-                u3 = (a + 1.0) * q1
-                scale = max(abs(u1), abs(u2), abs(u3), 1.0)
-                worst2 = max(worst2, abs(u1 - u2 + u3) / scale)
-    return worst1, worst2
+def _scaled_max(terms, resid):
+    scale = np.maximum(np.maximum(np.abs(terms[0]), np.abs(terms[1])),
+                       np.maximum(np.abs(terms[2]), 1.0))
+    return float(np.max(np.abs(resid) / scale, initial=0.0))
 
 
-def _q_diff_residuals(m_id):
+def _identity_residuals(identity_terms, table, params):
+    """Worst scaled residuals of the two contiguous identities over n = 0..m,
+    x = 0..m-1, evaluated on whole tables of each p and p.shifted()."""
     worst1 = worst2 = 0.0
-    for q, a, b in _Q_GRID:
-        p = qhahn.QHahnParams(a, b, q, m_id)
-        sh = p.shifted()
-        for n in range(m_id + 1):
-            for x in range(m_id):
-                q0 = qhahn.q_hahn_Q(n, x, p)
-                q1 = qhahn.q_hahn_Q(n, x + 1, p)
-                s0 = qhahn.q_hahn_Q(n, x, sh)
-                s1 = qhahn.q_hahn_Q(n, x + 1, sh)
-                t1 = (1.0 - b * q ** (m_id - x)) * q0
-                t2 = (1.0 - q ** (m_id - x)) * q1
-                t3 = ((1.0 - a * q ** (n + 1)) * (1.0 - b * q ** n)
-                      * q ** (m_id - n - x) / (1.0 - a * q)) * s0
-                scale = max(abs(t1), abs(t2), abs(t3), 1.0)
-                worst1 = max(worst1, abs(t1 - t2 - t3) / scale)
-                u1 = (1.0 - q ** (x + 1)) * a * q * s0
-                u2 = (1.0 - a * q ** (x + 2)) * s1
-                u3 = (1.0 - a * q) * q1
-                scale = max(abs(u1), abs(u2), abs(u3), 1.0)
-                worst2 = max(worst2, abs(u1 - u2 + u3) / scale)
+    for p in params:
+        tab, sh = table(p), table(p.shifted())
+        n = np.arange(p.m + 1)[:, None]
+        x = np.arange(p.m)[None, :]
+        t, u = identity_terms(n, x, p, tab[:, :-1], tab[:, 1:], sh[:, :-1], sh[:, 1:])
+        worst1 = max(worst1, _scaled_max(t, t[0] - t[1] - t[2]))
+        worst2 = max(worst2, _scaled_max(u, u[0] - u[1] + u[2]))
     return worst1, worst2
 
 
@@ -175,10 +146,14 @@ def run_verification(spec: ChainSpec, rtol: float | None = None) -> Verification
     results = []
     results.append(SuiteResult("hahn-orthogonality", _orthogonality_residual(m_id),
                                tol["hahn-orthogonality"]))
-    d1, d2 = _diff_residuals(m_id)
+    d1, d2 = _identity_residuals(hahn._identity_terms, hahn.polynomial_table,
+                                 [hahn.HahnParams(a, b, m_id) for a, b in _CLASSICAL_GRID])
     results.append(SuiteResult("diff-eq-1", d1, tol["diff-eq-1"]))
     results.append(SuiteResult("diff-eq-2", d2, tol["diff-eq-2"]))
-    qd1, qd2 = _q_diff_residuals(m_id)
+    # entries to the relative tolerance of scalar q_hahn_Q
+    qd1, qd2 = _identity_residuals(qhahn._identity_terms,
+                                   lambda p: qhahn.q_polynomial_table(p, rel=1e-14),
+                                   [qhahn.QHahnParams(a, b, q, m_id) for q, a, b in _Q_GRID])
     results.append(SuiteResult("q-diff-eq-1", qd1, tol["q-diff-eq-1"]))
     results.append(SuiteResult("q-diff-eq-2", qd2, tol["q-diff-eq-2"]))
     u_orth, mu_ud, oracle_resid, unit = _chain_residuals(spec)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hahnchain import cli
 from hahnchain.chain import ChainSpec, analytic_eigensystem, build_couplings
 from hahnchain.cli import main
 
@@ -120,6 +121,34 @@ def test_non_finite_inputs_and_outputs_exit_one(capsys, beta):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_non_finite_grid_bound_exits_one(capsys):
+    code, out, err = run_cli(capsys, "correlate", "--m", "2", "--alpha", "0.5", "--beta", "1.5",
+                             "--r", "5", "--s", "0", "--t-max", "inf", "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_csv_refuses_non_finite_values(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--m", "1", "--alpha", "0.5",
+                             "--beta", "1e308", "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_arithmetic_error_exits_one(capsys, monkeypatch):
+    def failing_check(*args):
+        raise ArithmeticError("folded and direct sums disagree")
+
+    monkeypatch.setattr(cli, "correlation", failing_check)
+    code, out, err = run_cli(capsys, "correlate", "--m", "2", "--alpha", "0.5", "--beta", "1.5",
+                             "--r", "5", "--s", "0", "--steps", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: folded and direct sums disagree\n"
 
 
 def test_pst_scan_flags_linear_chain(capsys):

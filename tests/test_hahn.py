@@ -154,6 +154,18 @@ def test_orthonormal_table_at_large_beta(b):
     assert np.max(np.abs(tab)) <= 1.0
 
 
+@pytest.mark.parametrize("b", [1e8, 1e30])
+def test_scalar_weight_norm_orthonormal_at_large_beta(b):
+    # log-gamma differences lose every digit here; the exact forms do not
+    p = HahnParams(0.5, b, 3)
+    w, h, tab = weight_vector(p), norm_vector(p), orthonormal_table(p)
+    for i in range(4):
+        assert hahn_weight(i, p) == w[i]
+        assert hahn_norm(i, p) == h[i]
+        for x in range(4):
+            assert hahn_orthonormal(i, x, p) == tab[i, x]
+
+
 def test_table_matches_scalar_evaluations():
     p = HahnParams(0.25, 0.75, 6)
     tab = orthonormal_table(p)

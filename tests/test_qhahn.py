@@ -1,10 +1,13 @@
 import math
+import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hahnchain import _series
 from hahnchain.qhahn import (QHahnParams, q_diff_residual_1, q_diff_residual_2,
                              q_hahn_Q, q_hahn_norm, q_hahn_orthonormal,
                              q_hahn_weight, q_norm_vector, q_orthonormal_table,
@@ -40,6 +43,22 @@ def mp_q_weight(x, a, b, q, m):
                / (mp_qpoch(q, q, x) * mp_qpoch(q ** -m / b, q, x))
                * (a * b * q) ** -x)
         return float(val)
+
+
+def exact_q_hahn(n, x, p):
+    # the defining sum in exact rationals: the parameters are dyadic doubles
+    a, b, q, m = Fraction(p.alpha), Fraction(p.beta), Fraction(p.q), p.m
+    term = total = Fraction(1)
+    for k in range(min(n, x)):
+        term *= (q * (1 - q ** (k - n)) * (1 - a * b * q ** (n + 1 + k)) * (1 - q ** (k - x))
+                 / ((1 - q ** (k + 1)) * (1 - a * q ** (k + 1)) * (1 - q ** (k - m))))
+        total += term
+    return total
+
+
+def assert_matches_exact(value, exact, rtol):
+    assert exact != 0
+    assert abs(Fraction(value) - exact) <= rtol * abs(exact)
 
 
 PARAM_SETS = [(0.5, 0.5, 0.5, 5), (0.8, 0.6, 0.5, 6), (0.2, 0.9, 0.3, 6), (0.8, 0.9, 0.9, 6)]
@@ -234,3 +253,45 @@ def test_shifted_family_requires_beta_below_one():
     shifted = QHahnParams(0.5, 0.9, 0.5, 4).shifted()
     assert_allclose(shifted.alpha, 0.25)
     assert_allclose(shifted.beta, 1.8)
+
+
+# Tiny values: far below the size of the largest term, so the double and
+# double-double tiers cannot resolve them relative to their own magnitude.
+
+def test_tiny_scalar_value_is_certified():
+    p = QHahnParams(0.3, 0.2, 0.5, 20)
+    value = q_hahn_Q(20, 14, p)
+    assert_matches_exact(value, exact_q_hahn(20, 14, p), 1e-14)
+    assert_allclose(value, 1.6129088079674902e-39, rtol=1e-14)
+
+
+def test_tiny_table_entry_is_certified():
+    p = QHahnParams(0.3, 0.2, 0.5, 30)
+    value = q_polynomial_table(p, rel=1e-15)[29, 29]
+    assert_matches_exact(value, exact_q_hahn(29, 29, p), 1e-14)
+    assert_allclose(value, 1.715812095781047e-137, rtol=1e-14)
+
+
+@pytest.mark.parametrize("n,magnitude", [(10, 1.263e-36), (11, -4.476e-43), (12, 4.757e-50)])
+def test_tiny_values_at_lattice_edge(n, magnitude):
+    p = QHahnParams(0.2, 0.9, 0.3, 24)
+    value = q_hahn_Q(n, 24, p)
+    assert_matches_exact(value, exact_q_hahn(n, 24, p), 1e-14)
+    assert_allclose(value, magnitude, rtol=1e-3)
+
+
+def test_uncertifiable_value_raises(monkeypatch):
+    # 30 digits cannot resolve 1.6e-39 next to terms of order one and more
+    monkeypatch.setattr(_series, "_MAX_DPS", 30)
+    with pytest.raises(ArithmeticError):
+        q_hahn_Q(20, 14, QHahnParams(0.3, 0.2, 0.5, 20))
+
+
+def test_overflowing_tiers_emit_no_warnings():
+    # the double and double-double tiers overflow here and escalate silently
+    p = QHahnParams(0.3, 0.2, 0.5, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fam in (p, p.shifted()):
+            tab = q_orthonormal_table.__wrapped__(fam)  # bypass the cache
+            assert np.max(np.abs(tab @ tab.T - np.eye(51))) <= 1e-10

@@ -31,3 +31,10 @@ def test_report_dict_shape():
     entry = d["MU-UD"]
     assert set(entry) == {"residual", "tolerance", "passed"}
     assert entry["passed"] is True
+
+
+def test_q_identities_pass_at_identity_cap():
+    # tiny q-Hahn values at m = 24 used to come back as 0.0 and fail both suites
+    report = run_verification(ChainSpec(24, 0.3, 0.2, 0.5)).as_dict()
+    assert report["q-diff-eq-1"]["passed"]
+    assert report["q-diff-eq-2"]["passed"]
