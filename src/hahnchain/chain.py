@@ -10,6 +10,7 @@ family on odd sites, and the spectrum is symmetric and known in closed form.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -122,6 +123,24 @@ class EigenSystem:
         return len(self.eigenvalues)
 
 
+_MIN_NORMAL = sys.float_info.min
+
+
+def _twice_sqrt_product(x: float, y: float) -> float:
+    """2 sqrt(x*y) for positive x and y, without letting x*y overflow or underflow.
+
+    Scaling each factor by an even power of two is exact, so the result is
+    bit-identical to 2.0 * sqrt(x*y) wherever x*y is a normal double (that
+    case takes the product directly); only a result beyond the double range
+    itself comes out inf.
+    """
+    p = x * y
+    if _MIN_NORMAL <= p < math.inf:
+        return 2.0 * math.sqrt(p)
+    ex, ey = math.frexp(x)[1] // 2, math.frexp(y)[1] // 2
+    return 2.0 * math.ldexp(math.sqrt(math.ldexp(x, -2 * ex) * math.ldexp(y, -2 * ey)), ex + ey)
+
+
 def build_couplings(spec: ChainSpec) -> CouplingArray:
     """Coupling strengths for the chain.
 
@@ -141,7 +160,8 @@ def build_couplings(spec: ChainSpec) -> CouplingArray:
             if k % 2 == 1:
                 j[k] = math.sqrt((k + 1.0) * (2 * m + 1.0 - k))
             else:
-                j[k] = math.sqrt((k + 2.0 * a + 2.0) * (2 * m + 2.0 * b - k))
+                # (k+2a+2)(2m+2b-k) = 4 (a+k/2+1)(b+m-k/2), with exact halving
+                j[k] = _twice_sqrt_product(a + k / 2 + 1.0, b + m - k / 2)
     else:
         a, b, q = spec.alpha, spec.beta, spec.q
         for k in range(m + 1):
@@ -167,7 +187,7 @@ def mode_frequencies(spec: ChainSpec) -> np.ndarray:
     if spec.q is None:
         a, b = spec.alpha, spec.beta
         for k in range(m + 1):
-            w[k] = 2.0 * math.sqrt((a + k + 1.0) * (b + k))
+            w[k] = _twice_sqrt_product(a + k + 1.0, b + k)
     else:
         a, b, q = spec.alpha, spec.beta, spec.q
         for k in range(m + 1):

@@ -13,10 +13,10 @@ import sys
 import click
 import numpy as np
 
-from .chain import ChainSpec, analytic_eigensystem, build_couplings
-from .dynamics import (amplitude_at_halfpi, amplitude_at_pi, correlation,
-                       pst_condition, pst_scan, q_end_to_end)
-from .verify import run_verification
+from .chain import ChainSpec, analytic_eigensystem, build_couplings, mode_frequencies
+from .dynamics import (_q_closed_form, amplitude_at_halfpi, amplitude_at_pi, correlation,
+                       pst_condition, pst_scan)
+from .verify import DEFAULT_TOLERANCES, run_verification
 
 _BETA_MATCH_TOL = 1e-14
 
@@ -74,13 +74,20 @@ def _spec_from(m, alpha, beta, q):
     return ChainSpec(m, alpha, beta, q)
 
 
-def _time_grid(t_min, t_max, steps):
+def _time_grid(spec, t_min, t_max, steps):
     if steps < 1:
         raise ValueError(f"--steps must be positive, got {steps}")
     if not (math.isfinite(t_min) and math.isfinite(t_max)):
         raise ValueError("--t-min and --t-max must be finite")
     if steps > 1 and not t_max > t_min:
         raise ValueError("--t-max must exceed --t-min for more than one step")
+    # the phase t*e_j carries an absolute rounding error of about |t| |e_j| 2^-52;
+    # past the unitarity tolerance the amplitudes would be phase noise
+    noise = max(abs(t_min), abs(t_max)) * float(np.max(mode_frequencies(spec))) * 2.0 ** -52
+    tol = DEFAULT_TOLERANCES["correlation-unitarity"]
+    if not noise <= tol:
+        raise ValueError(f"phase error max|t|*max|e|*2^-52 = {noise:.3g} exceeds {tol:g}; "
+                         "shorten the time grid")
     return np.linspace(t_min, t_max, steps)
 
 
@@ -164,7 +171,7 @@ def correlate(m, alpha, beta, q, fmt, output, t_min, t_max, steps, r, s):
     spec = _spec_from(m, alpha, beta, q)
     if r is None or s is None:
         raise ValueError("correlate requires --r and --s")
-    grid = _time_grid(t_min, t_max, steps)
+    grid = _time_grid(spec, t_min, t_max, steps)
     es, payload = _base_payload(spec)
     samples = [correlation(es, r, s, float(t)) for t in grid]
     if fmt == "csv":
@@ -189,9 +196,8 @@ def correlate(m, alpha, beta, q, fmt, output, t_min, t_max, steps, r, s):
             None if window is None else {"k": window.k, "l": window.l, "time": window.time})
     if q is not None and abs(beta - q * alpha) <= _BETA_MATCH_TOL:
         special["q_closed_form"] = [
-            {"t": float(t), "re": (v := q_end_to_end(spec, float(t))).real,
-             "im": v.imag, "abs": abs(v)}
-            for t in grid
+            {"t": t, "re": v.real, "im": v.imag, "abs": abs(v)}
+            for t, v in zip(grid.tolist(), _q_closed_form(spec, grid).tolist())
         ]
     if special:
         payload["special"] = special
@@ -205,7 +211,7 @@ def correlate(m, alpha, beta, q, fmt, output, t_min, t_max, steps, r, s):
 def pst_scan_cmd(m, alpha, beta, q, fmt, output, t_min, t_max, steps, tolerance):
     """Scan |f_{N,0}(t)| over a time grid and flag perfect-transfer instants."""
     spec = _spec_from(m, alpha, beta, q)
-    grid = _time_grid(t_min, t_max, steps)
+    grid = _time_grid(spec, t_min, t_max, steps)
     results = pst_scan(spec, grid, tolerance=tolerance)
     if fmt == "csv":
         rows = [(p.time, p.modulus, "true" if p.is_perfect else "false") for p in results]

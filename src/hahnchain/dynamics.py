@@ -7,15 +7,21 @@ mode frequencies, which yields parity-split closed forms: a cosine kernel when
 r+s is even (real amplitude) and an i*sine kernel when r+s is odd (purely
 imaginary amplitude).  The even/even and odd/even cases fix the other two by
 the same fold, exchanging polynomial families with site parity.
+
+The end-to-end amplitude f_{N,0}(t) = -i sum_j c_j sin(omega_j t) is a sine
+sum whose weights c_j and frequencies omega_j depend only on the chain.  Each
+such kernel is built once per spec and cached, so a time grid costs one
+sin(outer(t, omega)) @ c product and a single time one short dot product.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .chain import ChainSpec, EigenSystem, analytic_eigensystem, mode_frequencies
+from .chain import (ChainSpec, EigenSystem, _readonly, analytic_eigensystem,
+                    mode_frequencies)
 from .hahn import HahnParams, orthonormal_table
 from .qhahn import QHahnParams, q_orthonormal_table
 from .special import log_pochhammer, q_pochhammer
@@ -37,6 +43,7 @@ __all__ = [
 
 _BETA_MATCH_TOL = 1e-14
 _FOLD_AGREEMENT = 1e-12
+_FORM_AGREEMENT = 1e-10
 _AMP_BOUND = 1.0 + 1e-10
 
 
@@ -150,6 +157,68 @@ def correlation_closed_form(spec: ChainSpec, r: int, s: int, t: float) -> Correl
     return CorrelationSample(r, s, t, amp)
 
 
+def _sine_sum(kernel, t):
+    """sum_j c_j sin(omega_j t) at a scalar t, or over a grid as one
+    sin(outer(t, omega)) @ c product."""
+    c, w = kernel
+    return np.dot(np.sin(np.asarray(t)[..., None] * w), c)
+
+
+@lru_cache(maxsize=256)
+def _general_kernel(spec: ChainSpec):
+    """(c, omega) of the general end-to-end sine sum, omega the mode frequencies."""
+    m, a, b = spec.m, spec.alpha, spec.beta
+    lg = math.lgamma
+    lpref = 0.5 * (log_pochhammer(b, m + 1) + log_pochhammer(a + 1.0, m + 1))
+    w = mode_frequencies(spec)
+    c = np.empty(m + 1)
+    for j in range(m + 1):
+        lnum = lg(m + 1.0) - lg(m - j + 1.0)
+        lden = log_pochhammer(j + a + b + 1.0, m + 1) + lg(j + 1.0)
+        coef = (2 * j + a + b + 1.0) * (-1.0) ** (m + j) * math.exp(lpref + lnum - lden)
+        c[j] = coef / (0.5 * w[j])
+    return _readonly(c), _readonly(w)
+
+
+@lru_cache(maxsize=256)
+def _collapsed_kernel(spec: ChainSpec):
+    """(c, omega) of the 2F1-type sum that the general one collapses to when
+    beta = alpha + 1, with omega_j = 2(alpha + j + 1)."""
+    m, a = spec.m, spec.alpha
+    ratio = math.exp(log_pochhammer(a + 1.0, m + 1) - log_pochhammer(2.0 * a + 2.0, m + 1))
+    terms = [1.0]
+    for j in range(m):
+        terms.append(terms[-1] * (j - m) * (j + 2.0 * a + 2.0)
+                     / ((j + 1.0) * (j + 2.0 * a + m + 3.0)))
+    c = 2.0 * (-1.0) ** m * ratio * np.array(terms)
+    return _readonly(c), _readonly(2.0 * (a + np.arange(m + 1) + 1.0))
+
+
+def _sine_sum_2f1(m: int, a: float, t):
+    """End-to-end amplitude for beta = alpha + 1 from the 2F1-type sum alone,
+    at a scalar t or over a grid."""
+    return -1j * _sine_sum(_collapsed_kernel(ChainSpec(m, a, a + 1.0)), t)
+
+
+def _end_to_end_sum(spec: ChainSpec, t):
+    """S with f_{N,0}(t) = -i S, at a scalar t or over a grid.
+
+    For beta = alpha + 1 (to 1e-14) the collapsed 2F1 form is returned, after
+    it is checked against the general form at every t.
+    """
+    s = _sine_sum(_general_kernel(spec), t)
+    if abs(spec.beta - (spec.alpha + 1.0)) > _BETA_MATCH_TOL:
+        return s
+    s4 = _sine_sum(_collapsed_kernel(spec), t)
+    bad = abs(s - s4) > _FORM_AGREEMENT * np.maximum(1.0, abs(s))
+    if bad.any():
+        i = int(np.argmax(bad))
+        s, s4, t = np.atleast_1d(s, s4, t)
+        raise ArithmeticError(f"general and collapsed end-to-end forms disagree at "
+                              f"t = {t[i]}: {-1j * s[i]} vs {-1j * s4[i]}")
+    return s4
+
+
 def end_to_end(spec: ChainSpec, t: float) -> CorrelationSample:
     """Amplitude f_{N,0}(t) between the chain ends, by its dedicated closed form.
 
@@ -160,35 +229,7 @@ def end_to_end(spec: ChainSpec, t: float) -> CorrelationSample:
     """
     if spec.q is not None:
         raise ValueError("end_to_end applies to the undeformed chain; see q_end_to_end")
-    m, a, b = spec.m, spec.alpha, spec.beta
-    n = 2 * m + 1
-    lg = math.lgamma
-    lpref = 0.5 * (log_pochhammer(b, m + 1) + log_pochhammer(a + 1.0, m + 1))
-    total = 0.0
-    for j in range(m + 1):
-        lnum = lg(m + 1.0) - lg(m - j + 1.0)
-        lden = log_pochhammer(j + a + b + 1.0, m + 1) + lg(j + 1.0)
-        root = math.sqrt((a + j + 1.0) * (b + j))
-        coef = (2 * j + a + b + 1.0) * (-1.0) ** j * math.exp(lpref + lnum - lden)
-        total += coef * math.sin(2.0 * t * root) / root
-    amp = -1j * (-1.0) ** m * total
-    if abs(b - (a + 1.0)) <= _BETA_MATCH_TOL:
-        amp4 = _sine_sum_2f1(m, a, t)
-        if abs(amp - amp4) > 1e-10 * max(1.0, abs(amp)):
-            raise ArithmeticError(f"general and collapsed end-to-end forms disagree: {amp} vs {amp4}")
-        amp = amp4
-    return CorrelationSample(n, 0, t, amp)
-
-
-def _sine_sum_2f1(m: int, a: float, t: float) -> complex:
-    """End-to-end amplitude for beta = alpha + 1 as the 2F1-type sine sum."""
-    ratio = math.exp(log_pochhammer(a + 1.0, m + 1) - log_pochhammer(2.0 * a + 2.0, m + 1))
-    total = 0.0
-    term = 1.0
-    for j in range(m + 1):
-        total += term * math.sin(2.0 * t * (a + j + 1.0))
-        term *= (j - m) * (j + 2.0 * a + 2.0) / ((j + 1.0) * (j + 2.0 * a + m + 3.0))
-    return -2j * (-1.0) ** m * ratio * total
+    return CorrelationSample(2 * spec.m + 1, 0, t, -1j * float(_end_to_end_sum(spec, t)))
 
 
 def _require_shifted_beta(spec: ChainSpec):
@@ -234,47 +275,67 @@ def pst_condition(alpha: float, tolerance: float = 1e-12,
     return None
 
 
-def q_end_to_end(spec: ChainSpec, t: float) -> complex:
-    """End-to-end amplitude of the deformed chain for beta = q*alpha, closed form.
-
-    Note the overall sign: the prefactor is -i(-1)^m; the +i(-1)^m variant
-    fails against the eigen-expansion for every m (checked in high precision).
-    """
+@lru_cache(maxsize=256)
+def _q_kernel(spec: ChainSpec):
+    """(c, omega) of the deformed closed form for beta = q*alpha."""
     if spec.q is None:
         raise ValueError("q_end_to_end requires a deformed chain spec")
     if abs(spec.beta - spec.q * spec.alpha) > _BETA_MATCH_TOL:
         raise ValueError(f"requires beta = q*alpha; got beta={spec.beta}, q*alpha={spec.q * spec.alpha}")
     m, a, q = spec.m, spec.alpha, spec.q
     pref = q ** (m / 2.0) * a ** (m / 2.0) * q_pochhammer(a * q, q, m + 1)
-    total = 0.0
+    c = np.empty(m + 1)
+    w = np.empty(m + 1)
     for j in range(m + 1):
-        total += ((-1.0) ** j
-                  * math.sin(2.0 * t * (1.0 - a * q ** (j + 1)) * q ** ((m - j) / 2.0))
-                  * q ** (j * j / 2.0)
-                  * q_pochhammer(q ** (m - j + 1), q, j)
-                  * (1.0 + a * q ** (j + 1))
-                  / (q_pochhammer(a * a * q ** (j + 2), q, m + 1) * q_pochhammer(q, q, j)))
-    return -1j * (-1.0) ** m * pref * total
+        w[j] = 2.0 * (1.0 - a * q ** (j + 1)) * q ** ((m - j) / 2.0)
+        c[j] = ((-1.0) ** (m + j) * pref
+                * q ** (j * j / 2.0)
+                * q_pochhammer(q ** (m - j + 1), q, j)
+                * (1.0 + a * q ** (j + 1))
+                / (q_pochhammer(a * a * q ** (j + 2), q, m + 1) * q_pochhammer(q, q, j)))
+    return _readonly(c), _readonly(w)
+
+
+def _q_closed_form(spec: ChainSpec, t):
+    """q_end_to_end at a scalar t, or over a grid as a complex array."""
+    return -1j * _sine_sum(_q_kernel(spec), t)
+
+
+def q_end_to_end(spec: ChainSpec, t: float) -> complex:
+    """End-to-end amplitude of the deformed chain for beta = q*alpha, closed form.
+
+    Note the overall sign: the prefactor is -i(-1)^m; the +i(-1)^m variant
+    fails against the eigen-expansion for every m (checked in high precision).
+    """
+    return complex(_q_closed_form(spec, t))
+
+
+@lru_cache(maxsize=256)
+def _fold_kernel(spec: ChainSpec):
+    """(c, omega) of the eigen-expansion of f_{N,0} folded onto the positive
+    frequencies: columns m-j and m+j+1 pair up, so
+    f = 2i sum_j U[N, m-j] U[0, m-j] sin(omega_j t)."""
+    es = analytic_eigensystem(spec)
+    cols = np.arange(spec.m, -1, -1)  # m-j for j = 0..m
+    c = -2.0 * es.U[es.dimension - 1, cols] * es.U[0, cols]
+    return _readonly(c), _readonly(-es.eigenvalues[cols])
 
 
 def pst_scan(spec: ChainSpec, t_grid, tolerance: float = 1e-9) -> list[PSTResult]:
     """End-to-end transfer modulus over a time grid, flagged against 1 - tolerance.
 
     The undeformed chain uses the dedicated end-to-end closed form; the
-    deformed chain falls back to the eigen-expansion.
+    deformed chain uses the folded eigen-expansion.  Either way the grid is
+    one sine product against the spec's cached kernel.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("time grid must be nonempty")
     if t_grid.size > 1 and not np.all(np.diff(t_grid) > 0.0):
         raise ValueError("time grid must be strictly increasing")
-    n = 2 * spec.m + 1
     if spec.q is None:
-        moduli = [abs(end_to_end(spec, float(t)).amplitude) for t in t_grid]
+        moduli = np.abs(_end_to_end_sum(spec, t_grid))
     else:
-        es = analytic_eigensystem(spec)
-        prod = es.U[n] * es.U[0]
-        moduli = [abs(complex(np.dot(prod, np.exp(-1j * float(t) * es.eigenvalues))))
-                  for t in t_grid]
-    return [PSTResult(float(t), mod, mod >= 1.0 - tolerance)
-            for t, mod in zip(t_grid, moduli)]
+        moduli = np.abs(_sine_sum(_fold_kernel(spec), t_grid))
+    return [PSTResult(t, mod, mod >= 1.0 - tolerance)
+            for t, mod in zip(t_grid.tolist(), moduli.tolist())]

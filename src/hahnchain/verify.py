@@ -131,8 +131,9 @@ def _special_time_residuals(m_id):
     for i in range(20):
         a = -0.9 + (3.8 / 19.0) * i  # 20 points spanning (-1, 3)
         spec = ChainSpec(m_eff, a, a + 1.0)
-        worst_k = max(worst_k, abs(_sine_sum_2f1(m_eff, a, math.pi / 2.0) - amplitude_at_halfpi(spec)))
-        worst_g = max(worst_g, abs(_sine_sum_2f1(m_eff, a, math.pi) - amplitude_at_pi(spec)))
+        at_half_pi, at_pi = _sine_sum_2f1(m_eff, a, np.array([math.pi / 2.0, math.pi]))
+        worst_k = max(worst_k, float(abs(at_half_pi - amplitude_at_halfpi(spec))))
+        worst_g = max(worst_g, float(abs(at_pi - amplitude_at_pi(spec))))
     return worst_k, worst_g
 
 

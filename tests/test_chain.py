@@ -145,3 +145,28 @@ def test_results_are_immutable():
     j = build_couplings(ChainSpec(2, 0.3, 1.2))
     with pytest.raises(ValueError):
         j.values[0] = 0.0
+
+
+def test_factored_roots_match_product_form():
+    # criterion 1's grid, where every product is a normal double
+    for m in (1, 2, 5, 10, 25, 50):
+        for a in (-0.9, -0.5, 0.0, 0.37, 2.0):
+            for b in (0.1, 0.5, 1.0, a + 1.0, 2.4):
+                spec = ChainSpec(m, a, b)
+                ref_j = np.array([math.sqrt((k + 1.0) * (2 * m + 1.0 - k)) if k % 2 else
+                                  math.sqrt((k + 2.0 * a + 2.0) * (2 * m + 2.0 * b - k))
+                                  for k in range(2 * m + 1)])
+                ref_w = np.array([2.0 * math.sqrt((a + k + 1.0) * (b + k)) for k in range(m + 1)])
+                for got, ref in ((build_couplings(spec).values, ref_j),
+                                 (mode_frequencies(spec), ref_w)):
+                    assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(ref))
+
+
+def test_couplings_and_frequencies_finite_at_huge_beta():
+    # the products (k+2a+2)(2m+2b-k) and (a+k+1)(b+k) overflow; the roots do not
+    spec = ChainSpec(1, 0.5, 1e308)
+    root_b = math.sqrt(1e308)
+    assert_allclose(build_couplings(spec).values,
+                    [math.sqrt(6.0) * root_b, 2.0, math.sqrt(10.0) * root_b], rtol=1e-15)
+    assert_allclose(mode_frequencies(spec),
+                    [2.0 * math.sqrt(1.5) * root_b, 2.0 * math.sqrt(2.5) * root_b], rtol=1e-15)

@@ -115,9 +115,10 @@ def test_invalid_parameters_exit_one(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("beta", ["inf", "1e308"])  # 1e308: the eigenvalues overflow
+@pytest.mark.parametrize("beta", ["inf", "1e308"])  # alpha = beta = 1e308: eigenvalues overflow
 def test_non_finite_inputs_and_outputs_exit_one(capsys, beta):
-    code, out, err = run_cli(capsys, "spectrum", "--m", "1", "--alpha", "0.5", "--beta", beta)
+    alpha = "0.5" if beta == "inf" else beta
+    code, out, err = run_cli(capsys, "spectrum", "--m", "1", "--alpha", alpha, "--beta", beta)
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
@@ -132,8 +133,41 @@ def test_non_finite_grid_bound_exits_one(capsys):
 
 
 def test_csv_refuses_non_finite_values(capsys):
-    code, out, err = run_cli(capsys, "spectrum", "--m", "1", "--alpha", "0.5",
+    # 2 sqrt((a+2)(b+1)) at a = b = 1e308 is beyond the double range
+    code, out, err = run_cli(capsys, "spectrum", "--m", "1", "--alpha", "1e308",
                              "--beta", "1e308", "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_spectrum_at_huge_beta_is_finite(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--m", "1", "--alpha", "0.5", "--beta", "1e308")
+    assert code == 0
+    assert err == ""
+    eig = json.loads(out)["eigenvalues"]  # strict JSON: no Infinity tokens
+    assert all(math.isfinite(e) for e in eig)
+    np.testing.assert_allclose(eig[2:], [2.0 * math.sqrt(1.5e308), 2.0 * math.sqrt(2.5) * 1e154],
+                               rtol=1e-15)
+
+
+@pytest.mark.parametrize("command", ["correlate", "pst-scan"])
+def test_phase_noise_grid_exits_one(capsys, command):
+    sites = ["--r", "5", "--s", "0"] if command == "correlate" else []
+    code, out, err = run_cli(capsys, command, "--m", "2", "--alpha", "0.5", "--beta", "1.5",
+                             *sites, "--t-min", "1e300", "--t-max", "2e300", "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "phase" in err
+
+
+def test_phase_bound_admits_grids_to_thousands_at_m50(capsys):
+    # max|e| = 2(alpha + m + 1) = 103 at m = 50: the bound sits near t = 4.4e3
+    base = ["pst-scan", "--m", "50", "--alpha", "0.5", "--beta", "1.5", "--steps", "3",
+            "--format", "csv"]
+    code, _, _ = run_cli(capsys, *base, "--t-max", "4000")
+    assert code == 0
+    code, out, err = run_cli(capsys, *base, "--t-max", "5000")
     assert code == 1
     assert out == ""
     assert err.startswith("error:")

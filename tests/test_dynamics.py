@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from hahnchain import dynamics
 from hahnchain.chain import ChainSpec, analytic_eigensystem
 from hahnchain.dynamics import (CorrelationSample, PSTResult, amplitude_at_halfpi,
                                 amplitude_at_pi, correlation,
@@ -212,3 +213,45 @@ def test_zero_time_identity_property(m, alpha, beta):
     es = analytic_eigensystem(ChainSpec(m, alpha, beta))
     f = correlation_matrix(es, 0.0)
     assert np.max(np.abs(f - np.eye(es.dimension))) <= 1e-11
+
+
+def _eigen_expansion(spec, grid):
+    es = analytic_eigensystem(spec)
+    prod = es.U[es.dimension - 1] * es.U[0]
+    return np.exp(-1j * np.multiply.outer(grid, es.eigenvalues)) @ prod
+
+
+@pytest.mark.parametrize("spec", [ChainSpec(20, 0.3, 1.7), ChainSpec(20, 0.37, 1.37),
+                                  ChainSpec(12, 0.8, 0.4, 0.5)])
+def test_scan_matches_pointwise_and_eigen_expansion(spec):
+    grid = np.linspace(0.0, 45.0, 4000)
+    moduli = np.array([p.modulus for p in pst_scan(spec, grid)])
+    if spec.q is None:
+        pointwise = [end_to_end(spec, t).amplitude for t in grid.tolist()]
+    else:
+        pointwise = [q_end_to_end(spec, t) for t in grid.tolist()]
+    assert np.max(np.abs(moduli - np.abs(pointwise))) <= 1e-12
+    assert np.max(np.abs(moduli - np.abs(_eigen_expansion(spec, grid)))) <= 1e-12
+
+
+def test_collapsed_form_cross_check_raises(monkeypatch):
+    spec = ChainSpec(6, 0.37, 1.37)
+    c, w = dynamics._collapsed_kernel(spec)
+    monkeypatch.setattr(dynamics, "_collapsed_kernel", lambda s: (c * (1.0 + 1e-6), w))
+    with pytest.raises(ArithmeticError):
+        end_to_end(spec, 1.1)
+    with pytest.raises(ArithmeticError):
+        pst_scan(spec, np.linspace(0.0, 5.0, 50))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=30),
+       st.floats(min_value=-0.95, max_value=5.0),
+       st.floats(min_value=0.01, max_value=5.0),
+       st.booleans(),
+       st.floats(min_value=0.0, max_value=50.0))
+def test_end_to_end_matches_eigen_expansion_property(m, alpha, beta, shifted, t):
+    spec = ChainSpec(m, alpha, alpha + 1.0 if shifted else beta)
+    es = analytic_eigensystem(spec)
+    ref = correlation(es, 2 * m + 1, 0, t).amplitude
+    assert abs(end_to_end(spec, t).amplitude - ref) <= 1e-10
