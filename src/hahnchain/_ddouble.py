@@ -68,11 +68,6 @@ def div(xh, xl, yh, yl):
     return add(qh, ql, q3, np.zeros_like(q3) if isinstance(q3, np.ndarray) else 0.0)
 
 
-def from_double(x):
-    x = np.asarray(x, dtype=float)
-    return x, np.zeros_like(x)
-
-
 def powers(base, lo_exp, hi_exp):
     """Double-double powers base**j for j = lo_exp..hi_exp (inclusive).
 

@@ -223,10 +223,7 @@ def analytic_eigensystem(spec: ChainSpec) -> EigenSystem:
     u[1::2, : m + 1] = -t1[::-1, :].T * signs[:, None] * inv_sqrt2
     u[1::2, m + 1:] = t1.T * signs[:, None] * inv_sqrt2
     w = mode_frequencies(spec)
-    eig = np.empty(nn)
-    eig[: m + 1] = -w[::-1]
-    eig[m + 1:] = w
-    return EigenSystem(u, eig)
+    return EigenSystem(u, np.concatenate((-w[::-1], w)))
 
 
 def residual_MU_UD(spec: ChainSpec) -> float:

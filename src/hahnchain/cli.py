@@ -26,14 +26,15 @@ class VerificationFailure(Exception):
 
 
 def _base_payload(spec):
-    es = analytic_eigensystem(spec)
-    return es, {
+    # the spectrum as analytic_eigensystem assembles it, without the eigenvectors
+    w = mode_frequencies(spec)
+    return {
         "m": spec.m,
         "alpha": spec.alpha,
         "beta": spec.beta,
         "q": spec.q,
         "N": 2 * spec.m + 1,
-        "eigenvalues": list(es.eigenvalues),
+        "eigenvalues": list(np.concatenate((-w[::-1], w))),
     }
 
 
@@ -41,11 +42,8 @@ def _emit(text, output):
     if output is None:
         click.echo(text, nl=False)
         return
-    try:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise exc
+    with open(output, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _json_text(payload):
@@ -127,7 +125,7 @@ def couplings(m, alpha, beta, q, fmt, output):
     spec = _spec_from(m, alpha, beta, q)
     j = build_couplings(spec)
     if fmt == "json":
-        _, payload = _base_payload(spec)
+        payload = _base_payload(spec)
         payload["couplings"] = list(j.values)
         _emit(_json_text(payload), output)
     else:
@@ -139,11 +137,11 @@ def couplings(m, alpha, beta, q, fmt, output):
 def spectrum(m, alpha, beta, q, fmt, output):
     """Eigenvalues of the interaction matrix, ascending."""
     spec = _spec_from(m, alpha, beta, q)
-    es, payload = _base_payload(spec)
+    payload = _base_payload(spec)
     if fmt == "json":
         _emit(_json_text(payload), output)
     else:
-        _emit(_csv_text("j,eigenvalue", list(enumerate(es.eigenvalues))), output)
+        _emit(_csv_text("j,eigenvalue", list(enumerate(payload["eigenvalues"]))), output)
 
 
 @cli.command()
@@ -151,8 +149,9 @@ def spectrum(m, alpha, beta, q, fmt, output):
 def eigvecs(m, alpha, beta, q, fmt, output):
     """Eigenvector matrix U (columns are eigenvectors) plus the spectrum."""
     spec = _spec_from(m, alpha, beta, q)
-    es, payload = _base_payload(spec)
+    es = analytic_eigensystem(spec)
     if fmt == "json":
+        payload = _base_payload(spec)
         payload["U"] = [list(row) for row in es.U]
         _emit(_json_text(payload), output)
     else:
@@ -172,12 +171,13 @@ def correlate(m, alpha, beta, q, fmt, output, t_min, t_max, steps, r, s):
     if r is None or s is None:
         raise ValueError("correlate requires --r and --s")
     grid = _time_grid(spec, t_min, t_max, steps)
-    es, payload = _base_payload(spec)
+    es = analytic_eigensystem(spec)
     samples = [correlation(es, r, s, float(t)) for t in grid]
     if fmt == "csv":
         rows = [(c.t, c.amplitude.real, c.amplitude.imag, abs(c.amplitude)) for c in samples]
         _emit(_csv_text("t,re,im,abs", rows), output)
         return
+    payload = _base_payload(spec)
     payload["r"] = r
     payload["s"] = s
     payload["samples"] = [
@@ -217,7 +217,7 @@ def pst_scan_cmd(m, alpha, beta, q, fmt, output, t_min, t_max, steps, tolerance)
         rows = [(p.time, p.modulus, "true" if p.is_perfect else "false") for p in results]
         _emit(_csv_text("t,modulus,is_perfect", rows), output)
         return
-    _, payload = _base_payload(spec)
+    payload = _base_payload(spec)
     payload["tolerance"] = tolerance
     payload["results"] = [
         {"t": p.time, "modulus": p.modulus, "is_perfect": p.is_perfect} for p in results

@@ -20,10 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import (ChainSpec, EigenSystem, _readonly, analytic_eigensystem,
+from .chain import (ChainSpec, EigenSystem, _family_tables, _readonly, analytic_eigensystem,
                     mode_frequencies)
-from .hahn import HahnParams, orthonormal_table
-from .qhahn import QHahnParams, q_orthonormal_table
 from .special import log_pochhammer, q_pochhammer
 
 __all__ = [
@@ -124,14 +122,8 @@ def correlation_matrix(es: EigenSystem, t: float) -> np.ndarray:
 def _mode_profile(spec: ChainSpec, site: int) -> np.ndarray:
     """g_site(j) with U_{site, m-j} = g_site(j)/sqrt(2): signed orthonormal values."""
     k, odd = divmod(site, 2)
-    if spec.q is None:
-        p = HahnParams(spec.alpha, spec.beta, spec.m)
-        table = orthonormal_table(p.shifted() if odd else p)
-    else:
-        p = QHahnParams(spec.alpha, spec.beta, spec.q, spec.m)
-        table = q_orthonormal_table(p.shifted() if odd else p)
     sign = -1.0 if odd else 1.0
-    return sign * (-1.0) ** k * table[:, k]
+    return sign * (-1.0) ** k * _family_tables(spec)[odd][:, k]
 
 
 def correlation_closed_form(spec: ChainSpec, r: int, s: int, t: float) -> CorrelationSample:
@@ -147,7 +139,7 @@ def correlation_closed_form(spec: ChainSpec, r: int, s: int, t: float) -> Correl
     n_sites = 2 * spec.m + 2
     _check_site(r, n_sites)
     _check_site(s, n_sites)
-    w = mode_frequencies(spec)
+    w = _frequencies(spec)
     gr = _mode_profile(spec, r)
     gs = gr if s == r else _mode_profile(spec, s)
     if (r + s) % 2 == 0:
@@ -165,19 +157,25 @@ def _sine_sum(kernel, t):
 
 
 @lru_cache(maxsize=256)
+def _frequencies(spec: ChainSpec):
+    """mode_frequencies(spec), cached read-only."""
+    return _readonly(mode_frequencies(spec))
+
+
+@lru_cache(maxsize=256)
 def _general_kernel(spec: ChainSpec):
     """(c, omega) of the general end-to-end sine sum, omega the mode frequencies."""
     m, a, b = spec.m, spec.alpha, spec.beta
     lg = math.lgamma
     lpref = 0.5 * (log_pochhammer(b, m + 1) + log_pochhammer(a + 1.0, m + 1))
-    w = mode_frequencies(spec)
+    w = _frequencies(spec)
     c = np.empty(m + 1)
     for j in range(m + 1):
         lnum = lg(m + 1.0) - lg(m - j + 1.0)
         lden = log_pochhammer(j + a + b + 1.0, m + 1) + lg(j + 1.0)
         coef = (2 * j + a + b + 1.0) * (-1.0) ** (m + j) * math.exp(lpref + lnum - lden)
         c[j] = coef / (0.5 * w[j])
-    return _readonly(c), _readonly(w)
+    return _readonly(c), w
 
 
 @lru_cache(maxsize=256)
@@ -318,7 +316,7 @@ def _fold_kernel(spec: ChainSpec):
     es = analytic_eigensystem(spec)
     cols = np.arange(spec.m, -1, -1)  # m-j for j = 0..m
     c = -2.0 * es.U[es.dimension - 1, cols] * es.U[0, cols]
-    return _readonly(c), _readonly(-es.eigenvalues[cols])
+    return _readonly(c), _frequencies(spec)
 
 
 def pst_scan(spec: ChainSpec, t_grid, tolerance: float = 1e-9) -> list[PSTResult]:

@@ -35,6 +35,27 @@ def test_spectrum_json_roundtrip_is_exact(capsys):
     assert payload["eigenvalues"] == list(eig)  # bit-exact decimal round trip
 
 
+@pytest.mark.parametrize("spec", [ChainSpec(7, 0.37, 2.1), ChainSpec(9, 0.8, 0.4, 0.5)])
+@pytest.mark.parametrize("command", ["spectrum", "couplings", "pst-scan"])
+def test_json_eigenvalues_match_eigensystem_without_building_it(capsys, monkeypatch,
+                                                                 command, spec):
+    def refuse(_):
+        raise AssertionError(f"{command} built the eigensystem")
+
+    monkeypatch.setattr(cli, "analytic_eigensystem", refuse)
+    args = ["--m", str(spec.m), "--alpha", str(spec.alpha), "--beta", str(spec.beta)]
+    if spec.q is not None:
+        args += ["--q", str(spec.q)]
+    code, out, _ = run_cli(capsys, command, *args)
+    assert code == 0
+    eig = analytic_eigensystem(spec).eigenvalues
+    assert json.loads(out)["eigenvalues"] == list(eig)  # bit-exact
+    if command == "spectrum":
+        code, out, _ = run_cli(capsys, command, *args, "--format", "csv")
+        assert code == 0
+        assert [float(line.split(",")[1]) for line in out.splitlines()[1:]] == list(eig)
+
+
 def test_couplings_json_and_csv(capsys):
     code, out, _ = run_cli(capsys, "couplings", "--m", "1", "--alpha", "-0.5", "--beta", "0.5")
     assert code == 0

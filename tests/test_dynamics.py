@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from hahnchain import dynamics
-from hahnchain.chain import ChainSpec, analytic_eigensystem
+from hahnchain.chain import ChainSpec, analytic_eigensystem, mode_frequencies
 from hahnchain.dynamics import (CorrelationSample, PSTResult, amplitude_at_halfpi,
                                 amplitude_at_pi, correlation,
                                 correlation_closed_form, correlation_matrix,
@@ -232,6 +232,20 @@ def test_scan_matches_pointwise_and_eigen_expansion(spec):
         pointwise = [q_end_to_end(spec, t) for t in grid.tolist()]
     assert np.max(np.abs(moduli - np.abs(pointwise))) <= 1e-12
     assert np.max(np.abs(moduli - np.abs(_eigen_expansion(spec, grid)))) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", [ChainSpec(9, 0.3, 1.7), ChainSpec(7, 0.8, 0.4, 0.5)])
+def test_frequencies_cached_once_per_spec(spec):
+    w = dynamics._frequencies(spec)
+    assert not w.flags.writeable
+    assert w.tolist() == mode_frequencies(spec).tolist()
+    assert dynamics._frequencies(spec) is w
+    kernel = dynamics._general_kernel if spec.q is None else dynamics._fold_kernel
+    assert kernel(spec)[1] is w
+    es = analytic_eigensystem(spec)
+    for r, s, t in ((0, 0, 0.7), (2 * spec.m + 1, 0, 1.3), (3, 5, 2.9)):
+        sample = correlation_closed_form(spec, r, s, t)
+        assert abs(sample.amplitude - correlation(es, r, s, t).amplitude) <= 1e-12
 
 
 def test_collapsed_form_cross_check_raises(monkeypatch):

@@ -280,6 +280,25 @@ def test_tiny_values_at_lattice_edge(n, magnitude):
     assert_allclose(value, magnitude, rtol=1e-3)
 
 
+def test_mp_tier_row_matches_exact_sums(monkeypatch):
+    # row 29 leaves 23 entries to the mpmath tier, needing 39 to 451 starting
+    # digits; one row pass must certify every one of them
+    p = QHahnParams(0.3, 0.2, 0.5, 30)
+    passes = []
+    mp_row = _series.q_mp_row
+
+    def spy(n, xs, *args):
+        passes.append((n, len(xs)))
+        return mp_row(n, xs, *args)
+
+    monkeypatch.setattr(_series, "q_mp_row", spy)
+    row = q_polynomial_table(p, rel=1e-15)[29]
+    sizes = [size for n, size in passes if n == 29]
+    assert len(sizes) == 1 and sizes[0] > 1
+    for x, value in enumerate(row.tolist()):
+        assert_matches_exact(value, exact_q_hahn(29, x, p), 1e-14)
+
+
 def test_uncertifiable_value_raises(monkeypatch):
     # 30 digits cannot resolve 1.6e-39 next to terms of order one and more
     monkeypatch.setattr(_series, "_MAX_DPS", 30)
