@@ -24,3 +24,27 @@ from .special import (HypSeriesSpec, QHypSeriesSpec, hyp_terminating,
 from .verify import VerificationReport, run_verification
 
 __version__ = "0.1.0"
+
+
+def stats() -> dict:
+    """Snapshot of what the evaluator has done since import or reset_stats().
+
+    "entries" counts the q-series entries certified per tier ("double",
+    "double-double", "mpmath") and per series form ("direct",
+    "transformed"); "max_mp_dps" is the largest mpmath precision used;
+    "cache" gives the hits and misses of the q_orthonormal_table and
+    analytic_eigensystem caches since each was last cleared.
+    """
+    from . import _series
+
+    snap = _series.stats()
+    snap["cache"] = {f.__name__: {"hits": f.cache_info().hits, "misses": f.cache_info().misses}
+                     for f in (q_orthonormal_table, analytic_eigensystem)}
+    return snap
+
+
+def reset_stats() -> None:
+    """Zero the series counters of stats(); the cache counts follow the caches."""
+    from . import _series
+
+    _series.reset_stats()

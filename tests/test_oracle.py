@@ -105,3 +105,30 @@ def test_match_dimension_check():
     out = tridiag_eigen(interaction_matrix(build_couplings(spec_b)))
     with pytest.raises(ValueError):
         match_eigensystems(es, out)
+
+
+@pytest.mark.parametrize("m,q", [(30, 0.3), (50, 0.5), (100, 0.5), (200, 0.5)])
+def test_vectors_orthonormal_on_deformed_chains(m, q):
+    # the tiny eigenvalues come in pairs +-sigma only 2 sigma apart (sigma down
+    # to q^(m/2)); without the inverse-iteration step the twisted vectors of
+    # such a pair overlap by 3e-9 to 8e-9, and from m = 100 on, where sigma
+    # falls below eps ||T||, they coincide unless the cluster of tiny
+    # eigenvalues is orthogonalized (|VtV - I| 9.8e-3 at m = 100, 1.0 at
+    # m = 200).  The rotation-accumulating QL oracle had 6.9e-15 and 6.2e-15.
+    mat = interaction_matrix(build_couplings(ChainSpec(m, 0.3, 0.2, q)))
+    out = tridiag_eigen(mat)
+    v = out.eigenvectors
+    assert np.max(np.abs(v.T @ v - np.eye(len(v)))) <= 1e-13
+    dense = mat.to_dense()
+    assert np.max(np.abs(dense @ v - v * out.eigenvalues)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("off", [[1.0, 0.0, 1.0], [2.0, 0.0, 2.0, 0.0, 2.0], [0.0, 0.0, 0.0],
+                                 [1.0, 1.0, 0.0, 1.0, 1.0], [1.0, 1e-300, 1.0]])
+def test_vectors_orthonormal_for_repeated_eigenvalues(off):
+    # a zero coupling splits the chain and repeats eigenvalues exactly
+    mat = _matrix(off)
+    out = tridiag_eigen(mat)
+    v = out.eigenvectors
+    assert np.max(np.abs(v.T @ v - np.eye(len(v)))) <= 1e-13
+    assert np.max(np.abs(mat.to_dense() @ v - v * out.eigenvalues)) <= 1e-13 * max(1.0, max(off))

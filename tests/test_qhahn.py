@@ -5,12 +5,15 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from hahnchain import _series
+import hahnchain
+from hahnchain import _series, qhahn
 from hahnchain.qhahn import (QHahnParams, q_diff_residual_1, q_diff_residual_2,
                              q_hahn_Q, q_hahn_norm, q_hahn_orthonormal,
-                             q_hahn_weight, q_norm_vector, q_orthonormal_table,
+                             q_hahn_weight, q_log_norm, q_log_weight,
+                             q_norm_vector, q_orthonormal_table,
                              q_polynomial_table, q_weight_vector)
 
 
@@ -280,9 +283,18 @@ def test_tiny_values_at_lattice_edge(n, magnitude):
     assert_allclose(value, magnitude, rtol=1e-3)
 
 
+def _direct_only(p, n, x, orthonormal=False, **target):
+    # certified values through the direct series form alone, which needs the
+    # mpmath tier far more often than the transformed form
+    n, x = np.broadcast_arrays(np.asarray(n, dtype=np.int64), np.asarray(x, dtype=np.int64))
+    scales = [s for s in qhahn._scales(p, n, x, orthonormal) if s[0] is _series.DIRECT]
+    return _series.certified_entries((p.alpha, p.beta, p.q, p.m), n, x, scales, **target)
+
+
 def test_mp_tier_row_matches_exact_sums(monkeypatch):
-    # row 29 leaves 23 entries to the mpmath tier, needing 39 to 451 starting
-    # digits; one row pass must certify every one of them
+    # in the direct form alone, row 29 leaves 23 entries to the mpmath tier;
+    # each row pass evaluates all the row's entries still uncertified, and the
+    # passes must certify every one of them
     p = QHahnParams(0.3, 0.2, 0.5, 30)
     passes = []
     mp_row = _series.q_mp_row
@@ -292,18 +304,63 @@ def test_mp_tier_row_matches_exact_sums(monkeypatch):
         return mp_row(n, xs, *args)
 
     monkeypatch.setattr(_series, "q_mp_row", spy)
-    row = q_polynomial_table(p, rel=1e-15)[29]
+    row = _direct_only(p, 29, np.arange(31), rel=1e-15)
     sizes = [size for n, size in passes if n == 29]
-    assert len(sizes) == 1 and sizes[0] > 1
+    assert sizes[0] == 23 and sizes == sorted(sizes, reverse=True)
     for x, value in enumerate(row.tolist()):
         assert_matches_exact(value, exact_q_hahn(29, x, p), 1e-14)
 
 
 def test_uncertifiable_value_raises(monkeypatch):
-    # 30 digits cannot resolve 1.6e-39 next to terms of order one and more
+    # in the direct form, 30 digits cannot resolve 1.6e-39 next to terms of
+    # order one and more
     monkeypatch.setattr(_series, "_MAX_DPS", 30)
     with pytest.raises(ArithmeticError):
-        q_hahn_Q(20, 14, QHahnParams(0.3, 0.2, 0.5, 20))
+        _direct_only(QHahnParams(0.3, 0.2, 0.5, 20), 20, 14, rel=1e-14)
+
+
+def test_mp_tier_certifies_sums_that_cancel_past_the_double_range():
+    # the direct sum at (n, x) = (70, 71) has terms up to 3e247 and the value
+    # -3.3e-281: 528 digits cancel, so the mpmath tier runs past 540 digits
+    # and its value relative to the largest term lies below the double range
+    p = QHahnParams(0.3, 0.2, 0.5, 100)
+    hahnchain.reset_stats()
+    value = float(_direct_only(p, 70, 71, rel=1e-14))
+    assert hahnchain.stats()["entries"]["mpmath"]["direct"] == 1
+    assert hahnchain.stats()["max_mp_dps"] > 540
+    assert_matches_exact(value, exact_q_hahn(70, 71, p), 1e-14)
+    # the orthonormal entry multiplies the sum by sqrt(w/h_n) ~ 2e17
+    orthonormal = float(_direct_only(p, 70, 71, orthonormal=True, rel=1e-14))
+    assert hahnchain.stats()["entries"]["mpmath"]["direct"] == 2
+    both_forms = float(qhahn._values(p, 70, 71, rel=1e-14, orthonormal=True))
+    assert orthonormal != 0.0
+    assert_allclose(orthonormal, both_forms, rtol=3e-14, atol=0.0)
+    assert_allclose(orthonormal, value * math.exp((q_log_weight(71, p) - q_log_norm(70, p)) / 2),
+                    rtol=1e-12, atol=0.0)
+
+
+def mp_q_hahn_sum(n, x, p, dps):
+    # the defining sum of exact_q_hahn at dps digits, as a Fraction
+    with mpmath.workdps(dps):
+        a, b, q, m = (mpmath.mpf(v) for v in (p.alpha, p.beta, p.q, p.m))
+        term = total = mpmath.mpf(1)
+        for k in range(min(n, x)):
+            term *= (q * (1 - q ** (k - n)) * (1 - a * b * q ** (n + 1 + k)) * (1 - q ** (k - x))
+                     / ((1 - q ** (k + 1)) * (1 - a * q ** (k + 1)) * (1 - q ** (k - m))))
+            total += term
+        return Fraction(mpmath.nstr(total, 60))
+
+
+def test_mp_tier_reached_through_the_public_path():
+    # near q = 1 both forms cancel more than double-double resolves for part
+    # of row 45 at m = 80, so q_hahn_Q certifies those entries in mpmath
+    p = QHahnParams(0.3, 0.2, 0.99, 80)
+    qhahn._q_row.cache_clear()
+    hahnchain.reset_stats()
+    row = [q_hahn_Q(45, x, p) for x in range(81)]
+    assert sum(hahnchain.stats()["entries"]["mpmath"].values()) > 0
+    for x, value in enumerate(row):
+        assert_matches_exact(value, mp_q_hahn_sum(45, x, p, 150), 1e-14)
 
 
 def test_overflowing_tiers_emit_no_warnings():
@@ -314,3 +371,42 @@ def test_overflowing_tiers_emit_no_warnings():
         for fam in (p, p.shifted()):
             tab = q_orthonormal_table.__wrapped__(fam)  # bypass the cache
             assert np.max(np.abs(tab @ tab.T - np.eye(51))) <= 1e-10
+
+
+# The transformed series form (Gasper-Rahman III.13) and its prefactor.
+
+@pytest.mark.parametrize("q", [0.5, 0.9])
+def test_transformed_rows_match_exact_sums(q):
+    p = QHahnParams(0.3, 0.2, q, 30)
+    for fam in (p, p.shifted()):
+        hahnchain.reset_stats()
+        row = q_polynomial_table(fam, rel=1e-15)[20]
+        assert hahnchain.stats()["entries"]["double-double"].get("transformed", 0) > 0
+        for x, value in enumerate(row.tolist()):
+            assert_matches_exact(value, exact_q_hahn(20, x, fam), 1e-14)
+
+
+def test_value_below_the_double_range_at_lattice_edge():
+    # at x = m the transformed sum is one term, so the value is its prefactor
+    # alone; the direct sum would need more than 3000 digits here
+    p = QHahnParams(0.5, 0.5, 0.5, 400)
+    value = q_hahn_Q(141, 400, p)
+    exact = exact_q_hahn(141, 400, p)
+    assert exact != 0 and abs(exact) < Fraction(1, 2 ** 1075)
+    assert value == float(exact) == 0.0
+    assert math.copysign(1.0, value) == math.copysign(1.0, float(exact)) == -1.0
+
+
+_deformed = st.builds(
+    lambda q, a, b, m: QHahnParams(a / q, b / q, q, m),
+    st.floats(0.05, 0.95), st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.integers(0, 12))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_deformed, st.data())
+def test_tables_and_values_property(p, data):
+    tab = q_orthonormal_table(p)
+    assert np.max(np.abs(tab @ tab.T - np.eye(p.m + 1))) <= 1e-13
+    n = data.draw(st.integers(0, p.m))
+    x = data.draw(st.integers(0, p.m + 1))
+    assert_matches_exact(q_hahn_Q(n, x, p), exact_q_hahn(n, x, p), 1e-14)
