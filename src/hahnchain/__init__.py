@@ -18,9 +18,7 @@ from .oracle import (ConvergenceError, EigenMatch, OracleEigenSystem,
 from .qhahn import (QHahnParams, q_diff_residual_1, q_diff_residual_2,
                     q_hahn_Q, q_hahn_norm, q_hahn_orthonormal, q_hahn_weight,
                     q_orthonormal_table, q_polynomial_table)
-from .special import (HypSeriesSpec, QHypSeriesSpec, hyp_terminating,
-                      log_pochhammer, pochhammer, q_hyp_terminating,
-                      q_pochhammer)
+from .special import log_pochhammer, pochhammer, q_pochhammer
 from .verify import VerificationReport, run_verification
 
 __version__ = "0.1.0"

@@ -14,11 +14,9 @@ import click
 import numpy as np
 
 from .chain import ChainSpec, analytic_eigensystem, build_couplings, mode_frequencies
-from .dynamics import (_q_closed_form, amplitude_at_halfpi, amplitude_at_pi, correlation,
-                       pst_condition, pst_scan)
+from .dynamics import (_BETA_MATCH_TOL, _q_closed_form, amplitude_at_halfpi, amplitude_at_pi,
+                       correlation, pst_condition, pst_scan)
 from .verify import DEFAULT_TOLERANCES, run_verification
-
-_BETA_MATCH_TOL = 1e-14
 
 
 class VerificationFailure(Exception):

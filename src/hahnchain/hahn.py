@@ -196,13 +196,15 @@ def _identity_terms(n, x, p, q0, q1, s0, s1):
     return t, u
 
 
-def _identity_at(n, x, p):
+def _identity_at(value, terms, n, x, p):
+    """terms(n, x, p, ...) of a family's two contiguous identities at (n, x),
+    x <= m-1, from value(n, x, p) at x and x+1 of p and p.shifted().  Shared
+    by the plain and the q family."""
     _check_n(n, p)
     if not 0 <= x <= p.m - 1:
         raise ValueError(f"x={x} outside [0, {p.m - 1}]")
     sh = p.shifted()
-    return _identity_terms(n, x, p, hahn_Q(n, x, p), hahn_Q(n, x + 1, p),
-                           hahn_Q(n, x, sh), hahn_Q(n, x + 1, sh))
+    return terms(n, x, p, value(n, x, p), value(n, x + 1, p), value(n, x, sh), value(n, x + 1, sh))
 
 
 def diff_residual_1(n: int, x: int, p: HahnParams) -> float:
@@ -211,7 +213,7 @@ def diff_residual_1(n: int, x: int, p: HahnParams) -> float:
     (m+b-x) Q_n(x; a,b) - (m-x) Q_n(x+1; a,b)
         = (n+a+1)(n+b)/(a+1) * Q_n(x; a+1, b-1).
     """
-    (t1, t2, t3), _ = _identity_at(n, x, p)
+    (t1, t2, t3), _ = _identity_at(hahn_Q, _identity_terms, n, x, p)
     return t1 - t2 - t3
 
 
@@ -220,7 +222,7 @@ def diff_residual_2(n: int, x: int, p: HahnParams) -> float:
 
     (x+1) Q_n(x; a+1,b-1) - (a+x+2) Q_n(x+1; a+1,b-1) = -(a+1) Q_n(x+1; a,b).
     """
-    _, (u1, u2, u3) = _identity_at(n, x, p)
+    _, (u1, u2, u3) = _identity_at(hahn_Q, _identity_terms, n, x, p)
     return u1 - u2 + u3
 
 

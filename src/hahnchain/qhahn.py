@@ -19,6 +19,7 @@ import numpy as np
 
 from . import _ddouble as dd
 from . import _series
+from .hahn import _check_n, _check_x, _identity_at
 
 __all__ = [
     "QHahnParams",
@@ -67,17 +68,6 @@ class QHahnParams:
     def shifted(self) -> "QHahnParams":
         """The companion family (alpha*q, beta/q); requires beta < 1."""
         return QHahnParams(self.alpha * self.q, self.beta / self.q, self.q, self.m)
-
-
-def _check_n(n, p):
-    if not 0 <= n <= p.m:
-        raise ValueError(f"degree n={n} outside [0, {p.m}]")
-
-
-def _check_x(x, p, extended=False):
-    hi = p.m + 1 if extended else p.m
-    if not 0 <= x <= hi:
-        raise ValueError(f"lattice point x={x} outside [0, {hi}]")
 
 
 @lru_cache(maxsize=8)
@@ -273,22 +263,13 @@ def _identity_terms(n, x, p, q0, q1, s0, s1):
     return t, u
 
 
-def _identity_at(n, x, p):
-    _check_n(n, p)
-    if not 0 <= x <= p.m - 1:
-        raise ValueError(f"x={x} outside [0, {p.m - 1}]")
-    sh = p.shifted()
-    return _identity_terms(n, x, p, q_hahn_Q(n, x, p), q_hahn_Q(n, x + 1, p),
-                           q_hahn_Q(n, x, sh), q_hahn_Q(n, x + 1, sh))
-
-
 def q_diff_residual_1(n: int, x: int, p: QHahnParams) -> float:
     """LHS - RHS of the first q-contiguous identity at (n, x), x <= m-1:
 
     (1-b q^{m-x}) Q_n(q^{-x}; a,b) - (1-q^{m-x}) Q_n(q^{-x-1}; a,b)
         = (1-a q^{n+1})(1-b q^n) q^{m-n-x} / (1-a q) * Q_n(q^{-x}; aq, b/q).
     """
-    (t1, t2, t3), _ = _identity_at(n, x, p)
+    (t1, t2, t3), _ = _identity_at(q_hahn_Q, _identity_terms, n, x, p)
     return t1 - t2 - t3
 
 
@@ -298,7 +279,7 @@ def q_diff_residual_2(n: int, x: int, p: QHahnParams) -> float:
     (1-q^{x+1}) aq Q_n(q^{-x}; aq, b/q) - (1-a q^{x+2}) Q_n(q^{-x-1}; aq, b/q)
         = -(1-a q) Q_n(q^{-x-1}; a, b).
     """
-    _, (u1, u2, u3) = _identity_at(n, x, p)
+    _, (u1, u2, u3) = _identity_at(q_hahn_Q, _identity_terms, n, x, p)
     return u1 - u2 + u3
 
 

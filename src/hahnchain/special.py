@@ -1,23 +1,11 @@
-"""Pochhammer symbols, q-shifted factorials and terminating hypergeometric sums.
-
-These are the scalar building blocks for both polynomial families.  Series are
-summed forward, k = 0 .. term_count-1, with a running term ratio (one
-multiply/divide step per term); the accumulation order is part of the contract
-so results are bit-reproducible.
+"""Pochhammer symbols and q-shifted factorials in double precision, for the
+closed forms of the dynamics layer.  The polynomial families build their own
+products: exact integers (plain) and split double-doubles (q).
 """
 
 import math
-from dataclasses import dataclass
 
-__all__ = [
-    "pochhammer",
-    "log_pochhammer",
-    "q_pochhammer",
-    "HypSeriesSpec",
-    "QHypSeriesSpec",
-    "hyp_terminating",
-    "q_hyp_terminating",
-]
+__all__ = ["pochhammer", "log_pochhammer", "q_pochhammer"]
 
 
 def pochhammer(a: float, k: int) -> float:
@@ -55,90 +43,3 @@ def q_pochhammer(a: float, q: float, k: int) -> float:
     for i in range(k):
         out *= 1.0 - a * q ** i
     return out
-
-
-@dataclass(frozen=True)
-class HypSeriesSpec:
-    """A terminating generalized hypergeometric sum.
-
-    Value: sum_{k=0}^{term_count-1} prod_i (n_i)_k / prod_j (d_j)_k * z^k / k!.
-    Denominator parameters must not hit a nonpositive integer within the
-    summed range (division by zero).
-    """
-
-    numerator_params: tuple
-    denominator_params: tuple
-    argument: float
-    term_count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "numerator_params", tuple(float(v) for v in self.numerator_params))
-        object.__setattr__(self, "denominator_params", tuple(float(v) for v in self.denominator_params))
-        if self.term_count < 1:
-            raise ValueError(f"term_count must be >= 1, got {self.term_count}")
-        for d in self.denominator_params:
-            if d.is_integer() and -(self.term_count - 2) <= d <= 0.0:
-                raise ValueError(f"denominator parameter {d} hits a pole within {self.term_count} terms")
-
-
-def hyp_terminating(spec: HypSeriesSpec) -> float:
-    """Evaluate a HypSeriesSpec by forward term-ratio summation."""
-    total = term = 1.0
-    z = spec.argument
-    for k in range(spec.term_count - 1):
-        num = 1.0
-        for p in spec.numerator_params:
-            num *= p + k
-        den = k + 1.0
-        for p in spec.denominator_params:
-            den *= p + k
-        if den == 0.0:
-            raise ValueError(f"denominator pole at term k={k + 1}")
-        term *= z * num / den
-        total += term
-    return total
-
-
-@dataclass(frozen=True)
-class QHypSeriesSpec:
-    """A terminating basic hypergeometric sum.
-
-    Value: sum_{k=0}^{term_count-1} prod_i (n_i;q)_k / [(q;q)_k prod_j (d_j;q)_k] * z^k.
-    """
-
-    numerator_params: tuple
-    denominator_params: tuple
-    q: float
-    argument: float
-    term_count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "numerator_params", tuple(float(v) for v in self.numerator_params))
-        object.__setattr__(self, "denominator_params", tuple(float(v) for v in self.denominator_params))
-        if not 0.0 < self.q < 1.0:
-            raise ValueError(f"q must lie in (0, 1), got {self.q}")
-        if self.term_count < 1:
-            raise ValueError(f"term_count must be >= 1, got {self.term_count}")
-        for d in self.denominator_params:
-            for i in range(self.term_count - 1):
-                if d * self.q ** i == 1.0:
-                    raise ValueError(f"denominator factor (1 - {d} q^{i}) vanishes within the summed range")
-
-
-def q_hyp_terminating(spec: QHypSeriesSpec) -> float:
-    """Evaluate a QHypSeriesSpec by forward term-ratio summation."""
-    total = term = 1.0
-    q = spec.q
-    z = spec.argument
-    for k in range(spec.term_count - 1):
-        num = 1.0
-        for p in spec.numerator_params:
-            num *= 1.0 - p * q ** k
-        den = 1.0 - q ** (k + 1)
-        for p in spec.denominator_params:
-            den *= 1.0 - p * q ** k
-        if den == 0.0:
-            raise ValueError(f"denominator factor vanishes at term k={k + 1}")
-        term *= z * num / den
-        total += term
-    return total

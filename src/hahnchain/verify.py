@@ -66,24 +66,16 @@ class VerificationReport:
         }
 
 
-def _orthogonality_residual(m_id):
+def _orthogonality_residual(table, weight, norm, params):
+    """Worst |G_nk - h_n delta_nk| / sqrt(h_n h_k) over params, G = Q W Q^T the
+    Gram matrix of the whole table under the weights.  The symmetric scale
+    keeps the measure at rounding level when the norms span many decades."""
     worst = 0.0
-    for a, b in _CLASSICAL_GRID:
-        p = hahn.HahnParams(a, b, m_id)
-        tab = hahn.polynomial_table(p, rel=1e-15)
-        w = hahn.weight_vector(p)
-        h = hahn.norm_vector(p)
-        gram = (tab * w[None, :]) @ tab.T
-        resid = np.abs(gram - np.diag(h)) / h[None, :]
-        worst = max(worst, float(np.max(resid)))
-    for q, a, b in _Q_GRID:
-        p = qhahn.QHahnParams(a, b, q, m_id)
-        tab = qhahn.q_polynomial_table(p, rel=1e-15)
-        w = qhahn.q_weight_vector(p)
-        h = qhahn.q_norm_vector(p)
-        gram = (tab * w[None, :]) @ tab.T
-        resid = np.abs(gram - np.diag(h)) / h[None, :]
-        worst = max(worst, float(np.max(resid)))
+    for p in params:
+        tab, h = table(p), norm(p)
+        gram = (tab * weight(p)[None, :]) @ tab.T
+        s = np.sqrt(h)
+        worst = max(worst, float(np.max(np.abs(gram - np.diag(h)) / np.outer(s, s))))
     return worst
 
 
@@ -144,17 +136,19 @@ def run_verification(spec: ChainSpec, rtol: float | None = None) -> Verification
     """
     tol = {k: (rtol if rtol is not None else v) for k, v in DEFAULT_TOLERANCES.items()}
     m_id = min(spec.m, _IDENTITY_M_CAP)
-    results = []
-    results.append(SuiteResult("hahn-orthogonality", _orthogonality_residual(m_id),
-                               tol["hahn-orthogonality"]))
-    d1, d2 = _identity_residuals(hahn._identity_terms, hahn.polynomial_table,
-                                 [hahn.HahnParams(a, b, m_id) for a, b in _CLASSICAL_GRID])
+    plain = [hahn.HahnParams(a, b, m_id) for a, b in _CLASSICAL_GRID]
+    deformed = [qhahn.QHahnParams(a, b, q, m_id) for q, a, b in _Q_GRID]
+    orth = max(_orthogonality_residual(lambda p: hahn.polynomial_table(p, rel=1e-15),
+                                       hahn.weight_vector, hahn.norm_vector, plain),
+               _orthogonality_residual(lambda p: qhahn.q_polynomial_table(p, rel=1e-15),
+                                       qhahn.q_weight_vector, qhahn.q_norm_vector, deformed))
+    results = [SuiteResult("hahn-orthogonality", orth, tol["hahn-orthogonality"])]
+    d1, d2 = _identity_residuals(hahn._identity_terms, hahn.polynomial_table, plain)
     results.append(SuiteResult("diff-eq-1", d1, tol["diff-eq-1"]))
     results.append(SuiteResult("diff-eq-2", d2, tol["diff-eq-2"]))
     # entries to the relative tolerance of scalar q_hahn_Q
     qd1, qd2 = _identity_residuals(qhahn._identity_terms,
-                                   lambda p: qhahn.q_polynomial_table(p, rel=1e-14),
-                                   [qhahn.QHahnParams(a, b, q, m_id) for q, a, b in _Q_GRID])
+                                   lambda p: qhahn.q_polynomial_table(p, rel=1e-14), deformed)
     results.append(SuiteResult("q-diff-eq-1", qd1, tol["q-diff-eq-1"]))
     results.append(SuiteResult("q-diff-eq-2", qd2, tol["q-diff-eq-2"]))
     u_orth, mu_ud, oracle_resid, unit = _chain_residuals(spec)

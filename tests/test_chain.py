@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from hahnchain.chain import (ChainSpec, CouplingArray, analytic_eigensystem,
@@ -170,3 +171,17 @@ def test_couplings_and_frequencies_finite_at_huge_beta():
                     [math.sqrt(6.0) * root_b, 2.0, math.sqrt(10.0) * root_b], rtol=1e-15)
     assert_allclose(mode_frequencies(spec),
                     [2.0 * math.sqrt(1.5) * root_b, 2.0 * math.sqrt(2.5) * root_b], rtol=1e-15)
+
+
+_deformed_specs = st.builds(
+    lambda m, a, b, q: ChainSpec(m, a / q, b, q),
+    st.integers(0, 12), st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.floats(0.05, 0.95))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_deformed_specs)
+def test_deformed_eigensystem_property(spec):
+    es = analytic_eigensystem(spec)
+    emax = np.max(np.abs(es.eigenvalues))
+    assert residual_MU_UD(spec) <= 1e-10 * emax
+    assert np.max(np.abs(es.U.T @ es.U - np.eye(es.dimension))) <= 1e-10

@@ -11,6 +11,7 @@ from hahnchain.dynamics import (CorrelationSample, PSTResult, amplitude_at_halfp
                                 amplitude_at_pi, correlation,
                                 correlation_closed_form, correlation_matrix,
                                 end_to_end, pst_condition, pst_scan, q_end_to_end)
+from hahnchain.special import log_pochhammer
 
 
 def test_zero_time_is_identity():
@@ -246,6 +247,27 @@ def test_frequencies_cached_once_per_spec(spec):
     for r, s, t in ((0, 0, 0.7), (2 * spec.m + 1, 0, 1.3), (3, 5, 2.9)):
         sample = correlation_closed_form(spec, r, s, t)
         assert abs(sample.amplitude - correlation(es, r, s, t).amplitude) <= 1e-12
+
+
+def _collapsed_2f1_terms(m, a):
+    # the coefficients of _collapsed_kernel are 2 (-1)^m ratio times the terms
+    # of 2F1(-m, 2a+2; 2a+m+3; 1)
+    c, _ = dynamics._collapsed_kernel(ChainSpec(m, a, a + 1.0))
+    ratio = math.exp(log_pochhammer(a + 1.0, m + 1) - log_pochhammer(2.0 * a + 2.0, m + 1))
+    return c / (2.0 * (-1.0) ** m * ratio)
+
+
+def test_collapsed_kernel_sums_2f1_at_one():
+    # 2F1(-m, 2a+2; 2a+m+3; 1) with m = 3, a = 0.25 sums to a Pochhammer ratio
+    expected = (4.0 * 5.0 * 6.0) / (6.5 * 7.5 * 8.5)
+    assert_allclose(np.sum(_collapsed_2f1_terms(3, 0.25)), expected, rtol=1e-14)
+
+
+def test_collapsed_kernel_sums_2f1_at_minus_one():
+    # 2F1(-m, 2a+2; 2a+m+3; -1) with m = 3, a = 0.25: the same terms, alternating
+    expected = (3.5 * 4.5 * 5.5) / (2.25 * 3.25 * 4.25)
+    terms = _collapsed_2f1_terms(3, 0.25)
+    assert_allclose(np.sum(terms * (-1.0) ** np.arange(terms.size)), expected, rtol=1e-14)
 
 
 def test_collapsed_form_cross_check_raises(monkeypatch):

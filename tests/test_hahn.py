@@ -1,13 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hahnchain import hahn
 from hahnchain.hahn import (HahnParams, diff_residual_1, diff_residual_2,
                             hahn_Q, hahn_norm, hahn_orthonormal, hahn_weight,
                             norm_vector, orthonormal_table, polynomial_table,
                             weight_vector)
+from hahnchain.qhahn import (QHahnParams, q_diff_residual_1, q_diff_residual_2,
+                             q_hahn_Q, q_hahn_orthonormal)
 
 
 # ---- independent brute-force oracles (direct defining sums/products) ----
@@ -251,3 +255,58 @@ def test_beta_one_boundary_is_legal():
     assert p.beta == 0.0
     for x in range(6):
         assert_allclose(hahn_weight(x, p), brute_weight(x, p.alpha, 0.0, 5), rtol=1e-12)
+
+
+def exact_gram(p):
+    """Gram matrix sum_x w(x) Q_n(x) Q_k(x) and norms h_n as Fractions, from
+    the exact integers hahn evaluates with.  The weights are brought to one
+    common denominator, so the sums over x run in integers."""
+    ints = hahn._dyadic(p)
+    w, h = hahn._weights_and_norms(p)
+    w = [Fraction(*v) for v in w]
+    den = math.lcm(*(v.denominator for v in w))
+    w = [v.numerator * (den // v.denominator) for v in w]
+    rows, scale = [], []
+    for n in range(p.m + 1):
+        coeffs = hahn._coefficients(n, *ints, p.m)
+        rows.append([hahn._horner(coeffs, x) for x in range(p.m + 1)])
+        scale.append(coeffs[0])
+    gram = [[Fraction(sum(wx * qn * qk for wx, qn, qk in zip(w, rn, rk)), den * sn * sk)
+             for rk, sk in zip(rows, scale)] for rn, sn in zip(rows, scale)]
+    return gram, [Fraction(*v) for v in h]
+
+
+@pytest.mark.parametrize("a,b,m", [(-0.9, 0.1, 12), (-0.5, 0.5, 12), (0.0, 1.0, 12),
+                                   (0.37, 2.4, 12), (2.0, 3.0, 12), (-0.9, 0.1, 24)])
+def test_exact_gram_matrix_is_diagonal_norms(a, b, m):
+    # verify's plain grid: the orthogonality relation holds exactly in rationals
+    gram, h = exact_gram(HahnParams(a, b, m))
+    for n in range(m + 1):
+        for k in range(m + 1):
+            assert gram[n][k] == (h[n] if n == k else 0)
+
+
+_PLAIN, _DEFORMED = HahnParams(0.4, 0.6, 4), QHahnParams(0.4, 0.6, 0.5, 4)
+_PAIRS = {"value": (hahn_Q, q_hahn_Q), "orthonormal": (hahn_orthonormal, q_hahn_orthonormal),
+          "identity-1": (diff_residual_1, q_diff_residual_1),
+          "identity-2": (diff_residual_2, q_diff_residual_2)}
+
+
+@pytest.mark.parametrize("pair,n,x,message", [
+    ("value", 5, 0, "degree n=5 outside [0, 4]"),
+    ("value", 0, 6, "lattice point x=6 outside [0, 5]"),
+    ("orthonormal", 5, 0, "degree n=5 outside [0, 4]"),
+    ("orthonormal", 0, 6, "lattice point x=6 outside [0, 4]"),
+    ("identity-1", 5, 0, "degree n=5 outside [0, 4]"),
+    ("identity-1", 0, 6, "x=6 outside [0, 3]"),
+    ("identity-1", 0, 4, "x=4 outside [0, 3]"),
+    ("identity-2", 5, 0, "degree n=5 outside [0, 4]"),
+    ("identity-2", 0, 6, "x=6 outside [0, 3]"),
+    ("identity-2", 0, 4, "x=4 outside [0, 3]"),
+])
+def test_domain_errors_shared_by_both_families(pair, n, x, message):
+    # n = m+1, x = m+2 and, for the identities, x = m, at m = 4
+    for f, p in zip(_PAIRS[pair], (_PLAIN, _DEFORMED)):
+        with pytest.raises(ValueError) as err:
+            f(n, x, p)
+        assert str(err.value) == message

@@ -111,6 +111,14 @@ def test_domain_checks():
         QHahnParams(0.5, 0.5, 1.2, 4)
 
 
+def test_degree_one_hand_sum():
+    # the two-term sum of Q_1(q^-1) at alpha = beta = q = 1/2, m = 1, by hand
+    q, a, b = 0.5, 0.5, 0.5
+    hand = 1.0 + ((1 - 1 / q) * (1 - a * b * q ** 2) * (1 - 1 / q) * q
+                  / ((1 - q) * (1 - a * q) * (1 - 1 / q)))
+    assert_allclose(q_hahn_Q(1, 1, QHahnParams(a, b, q, 1)), hand, rtol=1e-14)
+
+
 def test_weight_at_origin_is_one():
     for (a, b, q, m) in PARAM_SETS:
         assert q_hahn_weight(0, QHahnParams(a, b, q, m)) == 1.0

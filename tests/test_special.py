@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from hahnchain.special import (HypSeriesSpec, QHypSeriesSpec, hyp_terminating,
-                               log_pochhammer, pochhammer, q_hyp_terminating,
-                               q_pochhammer)
+from hahnchain.special import log_pochhammer, pochhammer, q_pochhammer
 
 
 def test_pochhammer_empty_product():
@@ -68,79 +66,3 @@ def test_q_pochhammer_empty_product():
        st.integers(min_value=0, max_value=40))
 def test_q_pochhammer_recurrence_is_exact(a, q, k):
     assert q_pochhammer(a, q, k + 1) == q_pochhammer(a, q, k) * (1.0 - a * q ** k)
-
-
-def test_hyp_single_term_is_one():
-    spec = HypSeriesSpec((1.3, -2.0, 5.5), (0.7,), 3.0, 1)
-    assert hyp_terminating(spec) == 1.0
-
-
-def test_hyp_alternating_argument_summation():
-    # 2F1(-m, 2a+2; 2a+m+3; -1) with m=3, a=0.25 sums to a Pochhammer ratio
-    m, a = 3, 0.25
-    spec = HypSeriesSpec((-m, 2 * a + 2), (2 * a + m + 3,), -1.0, m + 1)
-    expected = (3.5 * 4.5 * 5.5) / (2.25 * 3.25 * 4.25)
-    assert_allclose(hyp_terminating(spec), expected, rtol=1e-14)
-
-
-def test_hyp_unit_argument_summation():
-    # 2F1(-m, 2a+2; 2a+m+3; 1) with m=3, a=0.25
-    m, a = 3, 0.25
-    spec = HypSeriesSpec((-m, 2 * a + 2), (2 * a + m + 3,), 1.0, m + 1)
-    expected = (4.0 * 5.0 * 6.0) / (6.5 * 7.5 * 8.5)
-    assert_allclose(hyp_terminating(spec), expected, rtol=1e-14)
-
-
-@given(st.floats(min_value=-3, max_value=3), st.floats(min_value=0.1, max_value=5),
-       st.integers(min_value=1, max_value=12))
-def test_hyp_zero_numerator_param_gives_one(z, d, n):
-    spec = HypSeriesSpec((0.0, 1.7), (d,), z, n)
-    assert hyp_terminating(spec) == 1.0
-
-
-def test_hyp_detects_denominator_pole():
-    with pytest.raises(ValueError):
-        HypSeriesSpec((-5.0,), (-2.0,), 1.0, 4)
-    # pole outside the summed range is fine
-    HypSeriesSpec((-5.0,), (-2.0,), 1.0, 2)
-
-
-def test_hyp_pole_check_matches_summed_range():
-    # (d)_k first vanishes at k = 3 when d = -2, so term_count <= 3 is legal
-    spec = HypSeriesSpec((-1.0,), (-2.0,), 1.0, 2)
-    assert_allclose(hyp_terminating(spec), 1.0 + (-1.0) / (-2.0), rtol=1e-15)
-
-
-def test_q_hyp_single_term_is_one():
-    spec = QHypSeriesSpec((0.3, 0.4), (0.5,), 0.5, 0.25, 1)
-    assert q_hyp_terminating(spec) == 1.0
-
-
-def test_q_hyp_unit_numerator_truncates():
-    spec = QHypSeriesSpec((1.0, 0.3), (0.5,), 0.5, 0.9, 6)
-    assert q_hyp_terminating(spec) == 1.0
-
-
-def test_q_hyp_two_term_hand_sum():
-    # 3-phi-2 data of the degree-1 polynomial at x = 1 with a=b=0.5, q=0.5, m=1
-    q, a, b = 0.5, 0.5, 0.5
-    spec = QHypSeriesSpec((1 / q, a * b * q ** 2, 1 / q), (a * q, 1 / q), q, q, 2)
-    hand = 1.0 + ((1 - 1 / q) * (1 - a * b * q ** 2) * (1 - 1 / q) * q
-                  / ((1 - q) * (1 - a * q) * (1 - 1 / q)))
-    assert_allclose(q_hyp_terminating(spec), hand, rtol=1e-14)
-
-
-def test_q_hyp_detects_vanishing_denominator_factor():
-    # d = q^{-2} makes (d;q)_k vanish at k = 3
-    with pytest.raises(ValueError):
-        QHypSeriesSpec((0.3,), (4.0,), 0.5, 0.5, 4)
-    QHypSeriesSpec((0.3,), (4.0,), 0.5, 0.5, 2)
-
-
-def test_series_specs_validate_term_count():
-    with pytest.raises(ValueError):
-        HypSeriesSpec((1.0,), (2.0,), 1.0, 0)
-    with pytest.raises(ValueError):
-        QHypSeriesSpec((1.0,), (2.0,), 0.5, 1.0, 0)
-    with pytest.raises(ValueError):
-        QHypSeriesSpec((1.0,), (2.0,), 1.5, 1.0, 2)
