@@ -1,16 +1,17 @@
 """Self-contained brute-force eigensolver used to cross-check every closed form.
 
-Eigenvalues come from implicit-shift QL iteration with Wilkinson shifts, run
-on plain floats without accumulating rotations.  Each eigenvector is then
-built at its eigenvalue from a twisted factorization of T - lambda I (a
-forward and a backward LDL^T factorization, joined where |gamma| is
-smallest; Dhillon and Parlett 2004), refined by one inverse-iteration solve
-with the same factorization, and normalized; all eigenvalues are processed
-at once as vectors.  Eigenvalues closer than 1e-7 ||T|| (the tiny +-sigma
-pairs of deformed chains, or values repeated by a zero coupling) have their
-vectors orthogonalized within their cluster, member by member.
-Deliberately depends on no external linear-algebra routine so that
-agreement with the analytic construction is a genuine two-sided check.
+It solves the zero-diagonal tridiagonal matrix T of a chain by one path.  T
+is split where a coupling squares to 0.  A block is bipartite, so its
+spectrum is +-sigma_1..+-sigma_p, plus an exact 0 at odd size.  The sigma_j
+come from multisection on the count of negative LDL^T pivots of
+T - sigma I, which fixes each to high relative accuracy however tiny it is
+(Demmel and Kahan 1990; Fernando 1998); all are bracketed at once as numpy
+arrays.  At each sigma one twisted factorization (Dhillon and Parlett 2004)
+gives a vector whose even- and odd-site halves, normalized one by one, make
+the eigenvectors of both +sigma and -sigma.  There is no iteration on the
+vectors and no orthogonalization.  Deliberately depends on no external
+linear-algebra routine so that agreement with the analytic construction is
+a genuine two-sided check.
 """
 
 import math
@@ -32,7 +33,7 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """QL iteration failed to deflate within the sweep budget."""
+    """The eigenvalue multisection exceeded its step budget."""
 
 
 @dataclass(frozen=True)
@@ -47,244 +48,152 @@ class OracleEigenSystem:
         return len(self.eigenvalues)
 
 
-def _ql_eigenvalues(d, e, max_sweeps):
-    """Implicit QL with Wilkinson shifts on lists of floats; returns d.
+def _pivots(b2, lam):
+    """Pivots of the forward LDL^T factorization of T - lam I, for every value
+    in lam (any shape), as an array of shape (n,) + lam.shape.
 
-    d: diagonal (length n), e: off-diagonal (length n-1).  Follows the classic
-    tqli scheme; the convergence test |e[i]| + dd == dd exploits rounding so
-    the deflation criterion is scale-invariant.
+    An exactly zero pivot makes the next one infinite and the one after it
+    -lam again, so the count of negative pivots stays right without a guard
+    (IEEE arithmetic, as in Kahan's bisection); b2 must have no zero.
     """
-    n = len(d)
-    e = e + [0.0]
-    for l in range(n):
-        sweeps = 0
-        while True:
-            for mm in range(l, n - 1):
-                dd = abs(d[mm]) + abs(d[mm + 1])
-                if abs(e[mm]) + dd == dd:
-                    break
-            else:
-                mm = n - 1
-            if mm == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise ConvergenceError(f"no deflation for eigenvalue {l} after {max_sweeps} sweeps")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[mm] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            i = mm - 1
-            broke = False
-            while i >= l:
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[mm] = 0.0
-                    broke = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                i -= 1
-            if broke and i >= l:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[mm] = 0.0
+    d = np.empty((len(b2) + 1,) + lam.shape)
+    prev = neg = np.negative(lam, out=d[0])
+    with np.errstate(divide="ignore", over="ignore"):
+        for c, cur in zip(b2.tolist(), d[1:]):
+            np.divide(c, prev, out=cur)
+            prev = np.subtract(neg, cur, out=cur)
     return d
 
 
-def _pivots(b2, lam, pivmin):
-    """Pivots D+ (forward LDL^T) and D- (backward UDU^T) of T - lambda I for
-    each lambda, as (n, len(lam)) arrays, and the columns that met a zero
-    pivot (replaced by pivmin, as in LAPACK's dlar1v)."""
-    n, k = len(b2) + 1, len(lam)
-    dp, dm = np.empty((n, k)), np.empty((n, k))
-    hit = np.zeros(k, dtype=bool)
+def _positive_eigenvalues(b2, max_sweeps):
+    """sigma_1 < ... < sigma_p, the p = n // 2 positive eigenvalues of one
+    unreduced block with squared couplings b2, by multisection.
 
-    def pivot(v):
-        zero = v == 0.0
-        hit[:] |= zero
-        return np.where(zero, pivmin, v)
-
-    dp[0] = pivot(-lam)
-    for i in range(n - 1):
-        dp[i + 1] = pivot(-lam - b2[i] / dp[i])
-    dm[n - 1] = pivot(-lam)
-    for i in range(n - 2, -1, -1):
-        dm[i] = pivot(-lam - b2[i] / dm[i + 1])
-    return dp, dm, hit
-
-
-class _Twisted:
-    """Twisted factorizations of T - lambda I, one per eigenvalue in lam, for
-    the zero-diagonal tridiagonal matrix T with off-diagonal b.
-
-    For each lambda, T - lambda I = L+ D+ L+^T = U- D- U-^T; the twisted
-    factorization N_r Delta_r N_r^T joins the two at r = argmin |gamma_i|,
-    gamma_i = D+_i + D-_i + lambda.  A lambda whose factorization meets an
-    exactly zero pivot (an integer eigenvalue, or 0 at odd dimension) is
-    factored a few rounding units of ||T|| away instead, well inside the
-    error of lambda itself.
+    The count of negative pivots of T - sigma I is the number of eigenvalues
+    below sigma, and fixes each eigenvalue to high relative accuracy however
+    tiny it is (Demmel and Kahan 1990; Fernando 1998); below sigma_j there
+    are the (n + 1) // 2 eigenvalues <= 0 and j positive ones.  The first
+    step counts at p s points spaced geometrically from the smallest normal
+    float to above the Gershgorin bound, shared by all eigenvalues, which
+    leaves each in a bracket about a factor of 2 wide.  Each later step
+    counts at s evenly spaced points inside every bracket, until all are 4
+    rounding units wide.  With s = 1024 // p, and at least 3, every n takes
+    at most about 30 steps.
     """
+    n = len(b2) + 1
+    p = n // 2
+    s = max(3, 1024 // p)
+    rows, even = np.arange(p), np.arange(s + 2) / (s + 1)
+    target = (n + 1) // 2 + rows[:, None]
+    eps = np.finfo(float).eps
 
-    def __init__(self, b, lam):
-        n, k = len(b) + 1, len(lam)
-        b2 = b * b
-        pivmin = sys.float_info.min * max(1.0, float(np.max(b2)))
-        nudge = np.finfo(float).eps * float(np.max(np.abs(lam)))
-        shift = np.zeros(k)
-        for _ in range(4):
-            dp, dm, hit = _pivots(b2, lam + shift, pivmin)
-            if not hit.any():
-                break
-            shift[hit] += nudge
-        gamma = dp + dm + (lam + shift)
-        self.r = r = np.argmin(np.abs(gamma), axis=0)
-        g_r = gamma[r, np.arange(k)]
-        del gamma
-        rows = np.arange(n)[:, None]
-        self.above, self.below = rows < r, rows > r
-        self.lo = b[:, None] / dp[:-1]  # N_r below the diagonal, rows 1..r
-        self.up = b[:, None] / dm[1:]  # N_r above the diagonal, rows r..n-2
-        # gamma_r Delta_r^{-1}, with Delta_r = D+ above r, gamma_r at r, D- below
-        self.scale = np.ones((n, k))
-        np.divide(g_r, dp, out=self.scale, where=self.above)
-        np.divide(g_r, dm, out=self.scale, where=self.below)
+    def bracket(grid):
+        # the points with at most target eigenvalues below them are the
+        # first t inside each row, as the count is monotone in sigma
+        below = np.sum(_pivots(b2, grid[:, 1:-1]) < 0.0, axis=0, dtype=np.int32)
+        t = np.sum(below <= target, axis=1)
+        grid = np.broadcast_to(grid, (p, grid.shape[1]))
+        return grid[rows, t], grid[rows, t + 1]
 
-    def back_solve(self, y):
-        """N_r^T y = v in place: y_r = v_r, then outwards from r."""
-        n = len(y)
-        for i in range(n - 2, -1, -1):
-            y[i] = np.where(self.above[i], y[i] - self.lo[i] * y[i + 1], y[i])
-        for i in range(1, n):
-            y[i] = np.where(self.below[i], y[i] - self.up[i - 1] * y[i - 1], y[i])
-        return y
-
-    def solve(self, v):
-        """gamma_r (T - lambda I)^{-1} v in place, one column per lambda; the
-        scaling by gamma_r means gamma_r = 0 needs no division."""
-        above, below, lo, up, r = self.above, self.below, self.lo, self.up, self.r
-        n, cols = v.shape[0], np.arange(v.shape[1])
-        # N_r w = v in place: inwards to r, then row r
-        v_r = v[r, cols]
-        for i in range(1, n):
-            v[i] = np.where(above[i], v[i] - lo[i - 1] * v[i - 1], v[i])
-        for i in range(n - 2, -1, -1):
-            v[i] = np.where(below[i], v[i] - up[i] * v[i + 1], v[i])
-        rm, rp = np.maximum(r - 1, 0), np.minimum(r + 1, n - 1)
-        v[r, cols] = (v_r - np.where(r > 0, lo[rm, cols] * v[rm, cols], 0.0)
-                      - np.where(r < n - 1, up[np.minimum(r, n - 2), cols] * v[rp, cols], 0.0))
-        v *= self.scale
-        return self.back_solve(v)
-
-    def solve_column(self, y, j):
-        """The same solve for the single vector y and the j-th lambda, on floats."""
-        n, r = len(y), int(self.r[j])
-        lo, up, v = self.lo[:, j].tolist(), self.up[:, j].tolist(), y.tolist()
-        for i in range(1, r):
-            v[i] -= lo[i - 1] * v[i - 1]
-        for i in range(n - 2, r, -1):
-            v[i] -= up[i] * v[i + 1]
-        v[r] -= (lo[r - 1] * v[r - 1] if r > 0 else 0.0) + (up[r] * v[r + 1] if r < n - 1 else 0.0)
-        v = (np.array(v) * self.scale[:, j]).tolist()
-        for i in range(r - 1, -1, -1):
-            v[i] -= lo[i] * v[i + 1]
-        for i in range(r + 1, n):
-            v[i] -= up[i - 1] * v[i - 1]
-        return np.array(v)
+    top = 2.0 * math.sqrt(float(np.max(b2)))
+    lo, hi = bracket(np.geomspace(sys.float_info.min, top, p * s + 2)[None, :])
+    sweeps = 1
+    while np.any(hi - lo > 4.0 * eps * lo):
+        if sweeps >= max_sweeps:
+            raise ConvergenceError(f"multisection did not converge in {max_sweeps} steps")
+        grid = lo[:, None] + even * (hi - lo)[:, None]
+        grid[:, -1] = hi
+        lo, hi = bracket(grid)
+        sweeps += 1
+    return 0.5 * (lo + hi)
 
 
-def _normalize(v):
-    return v / np.sqrt(np.einsum("ij,ij->j", v, v))
+def _twisted_vectors(b, sigma):
+    """Eigenvectors of +sigma for one unreduced block with couplings b, one
+    column per sigma > 0, each half of norm sqrt(1/2); negating the odd rows
+    gives the eigenvectors of -sigma.
 
-
-def _twisted_vectors(b, lam):
-    """Unit eigenvectors (columns) of the zero-diagonal tridiagonal matrix with
-    off-diagonal b, one per eigenvalue in lam (ascending).
-
-    z solves N_r^T z = e_r, so (T - lambda I) z = gamma_r e_r; one solve
-    (T - lambda I) y = z with the same factors then removes what z carries of
-    the nearest other eigenvector.  That leaves an overlap of about
-    (eps ||T|| / gap)^2 between the vectors of neighbouring eigenvalues, which
-    is no longer small once the gap nears sqrt(eps) ||T|| (the +-sigma pairs
-    of deformed chains, sigma ~ q^(m/2), or eigenvalues repeated by a zero
-    coupling); such clusters are orthogonalized by _cluster_vectors.
+    T is bipartite, so the eigenvectors of +-sigma are (u, v) and (u, -v),
+    with u on the even sites and v on the odd ones.  The twisted vector z at
+    sigma solves N_r^T z = e_r, with N_r joining the forward and backward
+    LDL^T factors of T - sigma I at r = argmin |gamma| (Dhillon and Parlett
+    2004): z_r = 1 and its entries are cumulative products of -b / D+ above
+    r and of -b / D- below.  At a sigma accurate to a few rounding units of
+    itself, z does not mix in the vector of -sigma, even far below
+    eps ||T||, so its even half is proportional to u and its odd half to v;
+    normalizing the halves one by one makes the two columns of the pair
+    orthogonal to rounding.  A factorization that meets an exactly zero
+    pivot (an integer eigenvalue) is taken a few rounding units of sigma
+    away.
     """
-    n, k = len(b) + 1, len(lam)
-    tw = _Twisted(b, lam)
-    v = np.zeros((n, k))
-    v[tw.r, np.arange(k)] = 1.0
-    v = _normalize(tw.back_solve(v))  # z
-    v = _normalize(tw.solve(v))  # y
-    _cluster_vectors(tw, v, lam)
-    return v
+    n, b2 = len(b) + 1, b * b
+    for _ in range(4):
+        dp, dm = _pivots(b2, sigma), _pivots(b2[::-1], sigma)[::-1]
+        hit = np.any((dp == 0.0) | (dm == 0.0), axis=0)
+        if not hit.any():
+            break
+        sigma = np.where(hit, sigma * (1.0 + 4.0 * np.finfo(float).eps), sigma)
+    r = np.argmin(np.abs(dp + dm + sigma), axis=0)
+    edges = np.arange(n - 1)[:, None]
+    above = np.where(edges < r, -b[:, None] / dp[:-1], 1.0)
+    below = np.where(edges >= r, -b[:, None] / dm[1:], 1.0)
+    z = np.ones((n, len(sigma)))
+    z[:-1] = np.cumprod(above[::-1], axis=0)[::-1]
+    z[1:] *= np.cumprod(below, axis=0)
+    for half in (z[0::2], z[1::2]):
+        half /= np.sqrt(2.0 * np.einsum("ij,ij->j", half, half))
+    return z
 
 
-# eigenvalues closer than this times ||T|| form a cluster; measured on deformed
-# chains up to m = 100, the inverse-iteration step alone leaves overlaps below
-# 3.5e-16 at gaps of 1e-8 ||T|| to 1e-7 ||T|| and up to 1.1e-14 just below
-_CLUSTER_GAP = 1e-7
+def _null_vector(b):
+    """The eigenvector of 0 of one unreduced block of odd size: zero on the
+    odd sites, with b_2i x_2i + b_2i+1 x_2i+2 = 0 between the even ones.
+    Summing the logs of the ratios keeps a long product from overflowing."""
+    ratio = -b[0::2] / b[1::2]
+    log_x = np.concatenate(([0.0], np.cumsum(np.log(np.abs(ratio)))))
+    x = np.zeros(len(b) + 1)
+    x[0::2] = np.concatenate(([1.0], np.cumprod(np.sign(ratio)))) * np.exp(log_x - np.max(log_x))
+    return x / math.sqrt(float(np.dot(x, x)))
 
 
-def _cluster_vectors(tw, v, lam):
-    """Make the vectors of each cluster of close eigenvalues orthonormal, in
-    place, as LAPACK's dstein does.  Members are taken in ascending order;
-    each member's vector is projected off the members before it and refined
-    by two inverse-iteration solves with its own factorization, each followed
-    by a fresh projection, so that it converges to the part of the cluster's
-    invariant subspace the earlier members leave.  A vector that lies in the
-    earlier members' span to within 1e-8 (a repeated eigenvalue) restarts
-    from the fixed equidistributed vector frac(i phi) - 1/2: its remainder is
-    rounding noise, which the solves cannot carry across a zero coupling.
-    """
-
-    def project(y, prev):
-        for _ in range(2):  # twice is enough (Kahan, Parlett)
-            y = y - np.einsum("ij,j->i", prev, np.einsum("ij,i->j", prev, y))
-        return y, math.sqrt(float(np.dot(y, y)))
-
-    close = np.diff(lam) <= _CLUSTER_GAP * float(np.max(np.abs(lam)))
-    first = 0
-    for j in range(1, len(lam)):
-        if not close[j - 1]:
-            first = j
-            continue
-        prev = v[:, first:j]
-        y, norm = project(v[:, j], prev)
-        if norm < 1e-8:
-            y, norm = project(np.arange(1.0, len(v) + 1.0) * 0.6180339887498949 % 1.0 - 0.5, prev)
-        for _ in range(2):
-            y, norm = project(tw.solve_column(y / norm, j), prev)
-        v[:, j] = y / norm
+def _block_eigen(b, max_sweeps):
+    """Eigenvalues, in no particular order, and eigenvectors of one unreduced
+    block with couplings b."""
+    sigma = _positive_eigenvalues(b * b, max_sweeps) if len(b) else np.empty(0)
+    plus = _twisted_vectors(b, sigma)
+    minus = plus.copy()
+    minus[1::2] *= -1.0
+    lam, vec = [-sigma, sigma], [minus, plus]
+    if len(b) % 2 == 0:
+        lam.append([0.0])
+        vec.append(_null_vector(b)[:, None])
+    return np.concatenate(lam), np.hstack(vec)
 
 
 def tridiag_eigen(matrix: TridiagonalMatrix, max_sweeps: int = 50) -> OracleEigenSystem:
-    """Full spectrum and eigenvectors of a symmetric tridiagonal matrix.
+    """Full spectrum and eigenvectors of a symmetric tridiagonal matrix with
+    zero diagonal.
 
-    Eigenvalues are returned ascending with eigenvectors as matching columns.
-    The computation is deterministic: identical input gives bit-identical
-    output.  Raises ConvergenceError if any eigenvalue fails to deflate
-    within max_sweeps sweeps (never observed for real inputs).  Eigenvalues
-    closer than 1e-7 ||T|| get orthogonalized vectors, so the columns are
-    orthonormal also for tight pairs and repeated eigenvalues.
+    Eigenvalues are returned ascending with orthonormal eigenvectors as
+    matching columns.  Each eigenvalue is accurate to a few rounding units
+    of itself, however tiny, and each eigenvector to a few rounding units
+    over its eigenvalue's relative gap to the nearest other one.  The matrix
+    is split where a coupling squares to 0; the blocks' eigenvalues can then
+    repeat exactly, and their vectors stay orthogonal.  The computation is
+    deterministic: identical input gives bit-identical output.  Raises
+    ConvergenceError if the multisection needs more than max_sweeps steps
+    (it takes at most about 30).
     """
     n = matrix.dimension
     if n < 1:
         raise ValueError("matrix dimension must be at least 1")
     b = np.array(matrix.off_diagonal.values, dtype=float)
-    lam = np.array(_ql_eigenvalues([0.0] * n, b.tolist(), max_sweeps))
-    lam = lam[np.argsort(lam, kind="stable")]
-    return OracleEigenSystem(lam, _twisted_vectors(b, lam) if n > 1 else np.ones((1, 1)))
+    cuts = np.flatnonzero(b * b == 0.0) + 1
+    lam, vec = np.empty(n), np.zeros((n, n))
+    for start, stop in zip(np.concatenate(([0], cuts)), np.concatenate((cuts, [n]))):
+        lam[start:stop], vec[start:stop, start:stop] = _block_eigen(b[start:stop - 1], max_sweeps)
+    order = np.argsort(lam, kind="stable")
+    return OracleEigenSystem(lam[order], vec[:, order])
 
 
 def max_abs_residual(a, b) -> float:

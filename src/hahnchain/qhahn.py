@@ -11,7 +11,6 @@ They are formed once per parameter set as double-double products split into
 mantissa and power of two, so no intermediate leaves the double range.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,8 +28,6 @@ __all__ = [
     "q_hahn_orthonormal",
     "q_diff_residual_1",
     "q_diff_residual_2",
-    "q_log_weight",
-    "q_log_norm",
     "q_weight_vector",
     "q_norm_vector",
     "q_polynomial_table",
@@ -217,24 +214,10 @@ def q_hahn_Q(n: int, x: int, p: QHahnParams) -> float:
     return float(_values(p, n, x, rel=_REL))
 
 
-def q_log_weight(x: int, p: QHahnParams) -> float:
-    """ln of the orthogonality weight at lattice point x."""
-    _check_x(x, p)
-    w, _ = _weights_and_norms(p)
-    return math.log(w[0][x] + w[1][x]) + float(w[2][x]) * math.log(2.0)
-
-
 def q_hahn_weight(x: int, p: QHahnParams) -> float:
     """Orthogonality weight at x, within one rounding of the exact value."""
     _check_x(x, p)
     return float(q_weight_vector(p)[x])
-
-
-def q_log_norm(n: int, p: QHahnParams) -> float:
-    """ln of the squared norm h_n of Q_n under the lattice weight."""
-    _check_n(n, p)
-    _, h_inv = _weights_and_norms(p)
-    return -math.log(h_inv[0][n] + h_inv[1][n]) - float(h_inv[2][n]) * math.log(2.0)
 
 
 def q_hahn_norm(n: int, p: QHahnParams) -> float:

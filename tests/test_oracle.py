@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from hahnchain.chain import (ChainSpec, CouplingArray, analytic_eigensystem,
-                             build_couplings, interaction_matrix)
+                             build_couplings, interaction_matrix,
+                             mode_frequencies)
 from hahnchain.oracle import (ConvergenceError, match_eigensystems,
                               max_abs_residual, tridiag_eigen)
 
@@ -107,16 +109,19 @@ def test_match_dimension_check():
         match_eigensystems(es, out)
 
 
-@pytest.mark.parametrize("m,q", [(30, 0.3), (50, 0.5), (100, 0.5), (200, 0.5)])
+@pytest.mark.parametrize("m,q", [(30, 0.3), (50, 0.5), (100, 0.5), (200, 0.5), (400, 0.5)])
 def test_vectors_orthonormal_on_deformed_chains(m, q):
-    # the tiny eigenvalues come in pairs +-sigma only 2 sigma apart (sigma down
-    # to q^(m/2)); without the inverse-iteration step the twisted vectors of
-    # such a pair overlap by 3e-9 to 8e-9, and from m = 100 on, where sigma
-    # falls below eps ||T||, they coincide unless the cluster of tiny
-    # eigenvalues is orthogonalized (|VtV - I| 9.8e-3 at m = 100, 1.0 at
-    # m = 200).  The rotation-accumulating QL oracle had 6.9e-15 and 6.2e-15.
-    mat = interaction_matrix(build_couplings(ChainSpec(m, 0.3, 0.2, q)))
+    # the tiny eigenvalues reach down to about q^(m/2) (1e-60 at m = 400),
+    # far below eps ||T||, where eigenvalues accurate only to eps ||T|| in
+    # absolute terms lose every digit; they come in pairs +-sigma only
+    # 2 sigma apart, whose vectors separate only when each is built at a
+    # sigma accurate relative to itself
+    spec = ChainSpec(m, 0.3, 0.2, q)
+    mat = interaction_matrix(build_couplings(spec))
     out = tridiag_eigen(mat)
+    omega = mode_frequencies(spec)
+    assert np.max(np.abs(out.eigenvalues[m + 1:] - omega) / omega) <= 1e-12
+    assert np.max(np.abs(-out.eigenvalues[m::-1] - omega) / omega) <= 1e-12
     v = out.eigenvectors
     assert np.max(np.abs(v.T @ v - np.eye(len(v)))) <= 1e-13
     dense = mat.to_dense()
@@ -132,3 +137,32 @@ def test_vectors_orthonormal_for_repeated_eigenvalues(off):
     v = out.eigenvectors
     assert np.max(np.abs(v.T @ v - np.eye(len(v)))) <= 1e-13
     assert np.max(np.abs(mat.to_dense() @ v - v * out.eigenvalues)) <= 1e-13 * max(1.0, max(off))
+
+
+# couplings log-uniform over 1e-8..1e2, with exact zeros that split the chain
+_couplings = st.lists(st.one_of(st.just(0.0), st.floats(-8.0, 2.0).map(lambda e: 10.0 ** e)),
+                      max_size=39)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_couplings)
+def test_blocks_and_odd_dimensions_property(off):
+    mat = _matrix(off)
+    dense = mat.to_dense()
+    out = tridiag_eigen(mat)
+    lam, v = out.eigenvalues, out.eigenvectors
+    norm = max(float(np.max(np.abs(dense))), 1e-300)
+    assert np.max(np.abs(lam - np.linalg.eigvalsh(dense))) <= 1e-13 * norm
+    assert np.max(np.abs(dense @ v - v * lam)) <= 1e-13 * norm
+    # columns of different blocks share no site, so they are exactly
+    # orthogonal even where their eigenvalues repeat; inside one block a
+    # vector is accurate to about n eps over its eigenvalue's relative gap,
+    # so only near-degenerate eigenvalues of one block (coupled through a
+    # small coupling, as in [1, 1e-4, 1]) may pair beyond 1e-13
+    block = np.concatenate(([0], np.cumsum(np.asarray(off) == 0.0)))[np.argmax(np.abs(v), axis=0)]
+    scale = np.maximum(np.abs(lam)[:, None], np.abs(lam)[None, :])
+    rel_gap = np.abs(lam[:, None] - lam[None, :]) / np.maximum(scale, 1e-300)
+    bound = np.where(block[:, None] == block[None, :],
+                     1e-13 + len(v) * np.finfo(float).eps / np.maximum(rel_gap, 1e-300), 0.0)
+    np.fill_diagonal(bound, 1e-13)
+    assert np.all(np.abs(v.T @ v - np.eye(len(v))) <= bound)

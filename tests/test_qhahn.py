@@ -12,8 +12,7 @@ import hahnchain
 from hahnchain import _series, qhahn
 from hahnchain.qhahn import (QHahnParams, q_diff_residual_1, q_diff_residual_2,
                              q_hahn_Q, q_hahn_norm, q_hahn_orthonormal,
-                             q_hahn_weight, q_log_norm, q_log_weight,
-                             q_norm_vector, q_orthonormal_table,
+                             q_hahn_weight, q_norm_vector, q_orthonormal_table,
                              q_polynomial_table, q_weight_vector)
 
 
@@ -343,7 +342,11 @@ def test_mp_tier_certifies_sums_that_cancel_past_the_double_range():
     both_forms = float(qhahn._values(p, 70, 71, rel=1e-14, orthonormal=True))
     assert orthonormal != 0.0
     assert_allclose(orthonormal, both_forms, rtol=3e-14, atol=0.0)
-    assert_allclose(orthonormal, value * math.exp((q_log_weight(71, p) - q_log_norm(70, p)) / 2),
+    # sqrt(w(71) / h_70) from the split (hi, lo, exponent) weights and 1/norms
+    w, h_inv = qhahn._weights_and_norms(p)
+    mantissa = (w[0][71] + w[1][71]) * (h_inv[0][70] + h_inv[1][70])
+    exponent = int(w[2][71]) + int(h_inv[2][70])
+    assert_allclose(orthonormal, value * math.sqrt(mantissa) * 2.0 ** (exponent / 2),
                     rtol=1e-12, atol=0.0)
 
 
