@@ -12,17 +12,16 @@ The direct terms alternate in sign and can dwarf the value by thousands of
 digits; the transformed sum, whose prefactor P = (-1)^n |P| carries the sign
 without cancellation, cancels a few digits at most unless q is close to 1.
 Both forms are data (QForm) that the same tier kernels consume -- vector
-double, vector double-double, then mpmath at a computed precision, which
-evaluates the entries still uncertified row by row -- with the running max
-|term| acting as an a-posteriori rounding certificate for each tier.  The
-caller gives, per form, the factor F each entry's sum is multiplied by (P,
-an orthonormal scale, or 1) as a split double-double with a bound on its
-relative error.  One function, certified_entries, runs both forms in double
-precision, keeps per entry the form with the smaller certified bound, and
-applies the same absolute-or-relative acceptance test to F * S at every tier.
+double, vector double-double, then mpmath, whose passes run the double
+kernel on mpf object arrays -- with the running max |term| acting as an
+a-posteriori rounding certificate for each tier.  The caller gives, per
+form, the factor F each entry's sum is multiplied by (P, an orthonormal
+scale, or 1) as a split double-double with a bound on its relative error.
+One function, certified_entries, runs both forms in double precision, keeps
+per entry the form with the smaller certified bound, and applies the same
+absolute-or-relative acceptance test to F * S at every tier.
 """
 
-import copy
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -110,65 +109,84 @@ def q_tables(q, m):
         return {"pow": pw, "num": one, "den": _reciprocal(*one), "qfac": _reciprocal(*one, scale=q)}
 
 
+@lru_cache(maxsize=None)
+def _factors(form):
+    """The factors of a term ratio: q / (1 - q^(k+1)) (parameter None), then
+    the denominator parameters' reciprocals, so that a ratio of two huge
+    factors does not overflow on the way, and the numerator parameters."""
+    return (((None, "qfac"),) + tuple((p, "den") for p in form.den)
+            + tuple((p, "num") for p in form.num))
+
+
 @lru_cache(maxsize=8)
 def _tables(form, a, b, q, m):
-    """Double-double factor tables over the exponents of q_tables: 1 - c q^e
-    per numerator parameter and 1/(1 - c q^e) per denominator one."""
+    """Double-double (high, low) tables of the factors over the exponents of
+    q_tables: 1 - c q^e per numerator parameter, 1/(1 - c q^e) per
+    denominator one."""
     unit = q_tables(q, m)
     with np.errstate(all="ignore"):
 
         def factor(par, kind):
-            if par[0] == par[1] == 0:
+            if par is None or par[0] == par[1] == 0:
                 return unit[kind]
             th, tl = dd.mul(*unit["pow"], *_coefficient(par, a, b))
             f = dd.add(1.0, 0.0, -th, -tl)
             return f if kind == "num" else _reciprocal(*f)
 
-        return [factor(p, "num") for p in form.num], [factor(p, "den") for p in form.den]
+        return [factor(par, kind) for par, kind in _factors(form)]
+
+
+def _mp_tables(form, a, b, q, m, used):
+    """The same tables in mpf at the working precision, as (values, None)
+    object arrays filled only at the indices each factor uses."""
+    import mpmath  # only the last tier needs it, and most tables never reach it
+
+    a, b, q = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(q)
+    off = 2 * m + 2
+    power = lru_cache(maxsize=None)(lambda i: q ** (i - off))  # shared by the factors
+    tables = []
+    for (par, kind), idx in zip(_factors(form), used):
+        c = 1 if par is None else a ** par[0] * b ** par[1]
+        tab = np.empty(2 * off + 1, dtype=object)
+        for i in set(idx.ravel().tolist()):
+            f = 1 - c * power(i)
+            # as in _reciprocal, a vanishing denominator factor is stored as 0
+            tab[i] = f if kind == "num" else (q if par is None else 1) / f if f else f
+        tables.append((tab, None))
+    return tables
 
 
 class _Plan:
     """What the tier kernels need for one form over a set of entries: the
     x-independent part of each term ratio as an (n, k) table, and the table
-    indices of the x-dependent factors.  The double-double ratio table is
-    formed only when that tier runs."""
+    indices of the x-dependent factors.  The tables are double-double, or
+    with mp=True mpf at the working precision.  Each tier makes its own plan
+    for the entries it runs."""
 
-    def __init__(self, form, family_args, ns, xs):
+    def __init__(self, form, family_args, ns, xs, mp=False):
         a, b, q, m = family_args
-        num, den = _tables(form, a, b, q, m)
         off = 2 * m + 2
         self.nterms = _nterms(form, ns, xs, m)
         self.kmax = int(self.nterms.max(initial=0))
         nvals, self.row = np.unique(ns, return_inverse=True)
         k = np.arange(self.kmax)
-        self.fixed = [(q_tables(q, m)["qfac"], (k + 1 + off)[None, :])]
-        self.xdep = []
-        # reciprocals first: a ratio of two huge factors must not overflow on the way
-        for par, tab in zip(form.den + form.num, den + num):
+        index = [(k + 1 + off)[None, :]]
+        for par, _ in _factors(form)[1:]:
             if par[4] == 0:
-                self.fixed.append((tab, _exponent(par, nvals, 0, m)[:, None] + k + off))
+                index.append(_exponent(par, nvals, 0, m)[:, None] + k + off)
             else:
-                self.xdep.append((tab[0], tab[1], _exponent(par, ns, xs, m) + off))
-        self.rh = np.ones((len(nvals), self.kmax))
+                index.append(_exponent(par, ns, xs, m) + off)
+        if mp:
+            # every index the kernel reads, up to kmax terms for every entry
+            used = [i if i.ndim == 2 else i[:, None] + k for i in index]
+            tables = _mp_tables(form, a, b, q, m, used)
+        else:
+            tables = _tables(form, a, b, q, m)
+        self.fixed = [(t, i) for t, i in zip(tables, index) if i.ndim == 2]
+        self.xdep = [(t[0], t[1], i) for t, i in zip(tables, index) if i.ndim == 1]
+        self.rh = np.ones((len(nvals), self.kmax), dtype=object if mp else float)
         for tab, i in self.fixed:
             self.rh = self.rh * tab[0][i]
-        self.rdd = []  # the double-double ratio table, shared with subsets
-
-    def subset(self, pos):
-        """The same plan for the entries at positions pos."""
-        sub = copy.copy(self)
-        sub.row, sub.nterms = self.row[pos], self.nterms[pos]
-        sub.kmax = int(sub.nterms.max(initial=0))
-        sub.xdep = [(th, tl, base[pos]) for th, tl, base in self.xdep]
-        return sub
-
-    def ratio_dd(self):
-        if not self.rdd:
-            rh, rl = np.ones(self.rh.shape), np.zeros(self.rh.shape)
-            for (th, tl), i in self.fixed:
-                rh, rl = dd.mul(rh, rl, th[i], tl[i])
-            self.rdd.extend((rh, rl))
-        return self.rdd
 
 
 def _rescale(maxterm, sc, *arrays):
@@ -179,10 +197,13 @@ def _rescale(maxterm, sc, *arrays):
 
 
 def _sum_double(plan):
-    """Sums S = total 2^sc and max|term| = maxterm 2^sc in double precision."""
+    """Sums S = total 2^sc and max|term| = maxterm 2^sc in double precision,
+    or in mpf on an mp plan, whose exponent range is unbounded, so nothing
+    is rescaled there."""
     count = len(plan.row)
-    term, total, maxterm = np.ones(count), np.ones(count), np.ones(count)
+    term, total, maxterm = (np.ones(count, dtype=plan.rh.dtype) for _ in range(3))
     sc = np.zeros(count, dtype=np.int64)
+    rescale = plan.rh.dtype != object
     for k in range(plan.kmax):
         ratio = plan.rh[plan.row, k]
         for th, _, base in plan.xdep:
@@ -190,7 +211,7 @@ def _sum_double(plan):
         term *= ratio
         total += term
         np.maximum(maxterm, np.abs(term), out=maxterm)
-        if maxterm.max() > _BIG:
+        if rescale and maxterm.max() > _BIG:
             _rescale(maxterm, sc, term, total)
     return total, maxterm, sc
 
@@ -202,7 +223,9 @@ def _sum_dd(plan):
     sh, sl = np.ones(count), np.zeros(count)
     maxterm = np.ones(count)
     sc = np.zeros(count, dtype=np.int64)
-    ratio_h, ratio_l = plan.ratio_dd()
+    ratio_h, ratio_l = np.ones(plan.rh.shape), np.zeros(plan.rh.shape)
+    for (fh, fl), i in plan.fixed:
+        ratio_h, ratio_l = dd.mul(ratio_h, ratio_l, fh[i], fl[i])
     for k in range(plan.kmax):
         rh, rl = ratio_h[plan.row, k], ratio_l[plan.row, k]
         for fh, fl, base in plan.xdep:
@@ -213,75 +236,6 @@ def _sum_dd(plan):
         if maxterm.max() > _BIG:
             _rescale(maxterm, sc, th, tl, sh, sl)
     return sh, sl, maxterm, sc
-
-
-def q_mp_row(n, xs, a, b, q, m, dps, form):
-    """Sums of one form for degree n at the lattice points xs, at dps digits:
-    (sum, max |term|) pairs of mpf values.
-
-    The factors 1 - c q^e and the x-independent part of each term ratio are
-    formed once; each entry's forward sum then costs three mp operations per
-    term, plus one per x-dependent parameter.
-    """
-    import mpmath  # only this tier needs it, and most tables never reach it
-
-    with mpmath.workdps(dps):
-        am, bm, qm = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(q)
-        nk = max(int(_nterms(form, n, x, m)) for x in xs)  # terms in the longest sum
-        memo = {}
-
-        def factor(par, e):
-            if (par, e) not in memo:
-                memo[par, e] = 1 - am ** par[0] * bm ** par[1] * qm ** e
-            return memo[par, e]
-
-        ratio = []
-        for k in range(nk):
-            r = qm / factor((0, 0), k + 1)
-            for par in form.num:
-                if par[4] == 0:
-                    r *= factor(par, _exponent(par, n, 0, m) + k)
-            for par in form.den:
-                if par[4] == 0:
-                    r /= factor(par, _exponent(par, n, 0, m) + k)
-            ratio.append(r)
-        xnum = [p for p in form.num if p[4] != 0]
-        xden = [p for p in form.den if p[4] != 0]
-        out = []
-        for x in xs:
-            term = total = biggest = mpmath.mpf(1)
-            for k in range(int(_nterms(form, n, x, m))):
-                term *= ratio[k]
-                for par in xnum:
-                    term *= factor(par, _exponent(par, n, x, m) + k)
-                for par in xden:
-                    term /= factor(par, _exponent(par, n, x, m) + k)
-                total += term
-                biggest = max(biggest, abs(term))
-            out.append((total, biggest))
-        return out
-
-
-def q_log_maxterm(n, x, a, b, q, m, form):
-    """log10 of the largest |term| of one form's sum, from logs of factors."""
-    lq = math.log10(q)
-
-    def log_factor(par, e):
-        # log10 |1 - c q^e|, c = a^i b^j, without forming c q^e when it is huge
-        y = par[0] * math.log10(a) + par[1] * math.log10(b) + e * lq
-        if y > 17.0:
-            return y
-        if y < -17.0:
-            return 0.0
-        return math.log10(max(abs(1.0 - a ** par[0] * b ** par[1] * q ** e), 1e-300))
-
-    lt = worst = 0.0
-    for k in range(int(_nterms(form, n, x, m))):
-        lt += lq - log_factor((0, 0), k + 1)
-        lt += sum(log_factor(p, _exponent(p, n, x, m) + k) for p in form.num)
-        lt -= sum(log_factor(p, _exponent(p, n, x, m) + k) for p in form.den)
-        worst = max(worst, lt)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +270,8 @@ def certified_entries(family_args, ns, xs, scales, abs_target=0.0, rel=0.0):
     err_i <= abs_target_i + rel * (|v_i| - err_i), or once |v_i| + err_i is
     below the smallest subnormal so the value certifiably rounds to zero; the
     returned double adds one final rounding.  The entries the double-double
-    tier leaves uncertified go to the mpmath tier, one row per (form, n),
-    starting from the digits their certified lower bounds |v_i| - err_i call
-    for, or without one from an absolute error of 1e-17 (and at least twice
-    the double-double digits past the largest term); entries that fail go
-    round again at the digits their new lower bound calls for, or doubled.
-    Raises ArithmeticError if an entry cannot be certified at _MAX_DPS digits.
+    tier leaves uncertified go to the mpmath tier (_mp_tier).  Raises
+    ArithmeticError if an entry cannot be certified at _MAX_DPS digits.
     """
     m = family_args[3]
     ns, xs = (np.array(v, dtype=np.int64) for v in np.broadcast_arrays(ns, xs))
@@ -338,11 +288,9 @@ def certified_entries(family_args, ns, xs, scales, abs_target=0.0, rel=0.0):
     scale = np.zeros(count, dtype=np.int64)
     # an overflowing tier gives an inf or nan bound, which fails the test
     with np.errstate(all="ignore"):
-        plans = []
         for fi, (form, (fh, fl, fk), delta) in enumerate(forms):
             idx = np.nonzero(xs <= m + form.x_over)[0]
             plan = _Plan(form, family_args, ns[idx], xs[idx])
-            plans.append((idx, plan))
             total, maxterm, sc = _sum_double(plan)
             e_s = (_CERT * _EPS) * plan.nterms * maxterm
             e_v = _product_error(fh[idx], fl[idx], delta, total, e_s)
@@ -356,28 +304,22 @@ def certified_entries(family_args, ns, xs, scales, abs_target=0.0, rel=0.0):
         ok = _accepted(val, err, abs_target, rel, scale)
         _settle(out, ok, val, scale, choice, forms, "double")
         todo = np.nonzero(~ok)[0]
-        floor = np.zeros(count)
-        lead = np.zeros(count)  # log10 of the max |term| of the chosen form's sum
         for fi, (form, (fh, fl, fk), delta) in enumerate(forms):
             sel = todo[choice[todo] == fi]
             if sel.size == 0:
                 continue
-            idx, plan = plans[fi]
-            plan = plan.subset(np.searchsorted(idx, sel))
+            plan = _Plan(form, family_args, ns[sel], xs[sel])
             sh, sl, maxterm, sc = _sum_dd(plan)
             e_s = (_CERT * dd.EPS) * plan.nterms * maxterm
             vh, _ = dd.mul(sh, sl, fh[sel], fl[sel])
             e_v = _product_error(fh[sel], fl[sel], delta, sh, e_s) + 4.0 * dd.EPS * np.abs(vh)
             val[sel], err[sel], scale[sel] = vh, e_v, fk[sel] + sc
-            floor[sel] = np.abs(vh) - e_v
-            lead[sel] = np.log10(maxterm) + sc * _LOG10_2
         ok = np.zeros(count, dtype=bool)
         ok[todo] = _accepted(val[todo], err[todo], abs_target[todo], rel, scale[todo])
         _settle(out, ok, val, scale, choice, forms, "double-double")
         todo = todo[~ok[todo]]
     if todo.size:
-        _mp_tier(out, todo, family_args, ns, xs, forms, choice, abs_target, rel,
-                 floor, lead, scale)
+        _mp_tier(out, todo, family_args, ns, xs, forms, choice, abs_target, rel)
     return out.reshape(shape)
 
 
@@ -389,79 +331,68 @@ def _settle(out, ok, val, scale, choice, forms, tier):
             _counts[tier, form.name] += done
 
 
-def _log10_target(abs_target, rel, floor, scale):
-    """log10(abs_target + rel * floor 2^scale), -inf when both parts are 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        la = np.log(abs_target)
-        lr = np.log(rel * np.maximum(floor, 0.0)) + scale * math.log(2.0)
-        return np.logaddexp(la, lr) / math.log(10.0)
+def _mp_tier(out, todo, family_args, ns, xs, forms, choice, abs_target, rel):
+    """The mpmath tier.  Each pass runs every still-uncertified entry of one
+    form at the most digits any of them calls for.  The first asks for four
+    times the double-double digits: an mpf operation there costs about 1.5
+    times one at 31 digits, and every entry the first pass settles saves a
+    later pass.  Past _MAX_DPS only the entries calling for the most digits
+    run, at _MAX_DPS, so that one which cannot be certified fails before the
+    others run there."""
+    for fi, (form, f, delta) in enumerate(forms):
+        idx = todo[choice[todo] == fi]
+        want = np.full(idx.size, 4 * _DD_DIGITS)
+        while idx.size:
+            top = int(want.max())
+            now = want == top if top > _MAX_DPS else np.ones(idx.size, dtype=bool)
+            run, dps = idx[now], min(top, _MAX_DPS)
+            _max_dps[0] = max(_max_dps[0], dps)
+            val, ok, nxt = _mp_pass((form, [v[run] for v in f], delta), family_args,
+                                    ns[run], xs[run], abs_target[run], rel, dps)
+            out[run[ok]] = val[ok]
+            if ok.any():
+                _counts["mpmath", form.name] += int(np.count_nonzero(ok))
+            if dps == _MAX_DPS and not ok.all():
+                i = run[~ok][0]
+                raise ArithmeticError(
+                    f"q-Hahn series (n={ns[i]}, x={xs[i]}) not certified at {_MAX_DPS} digits")
+            idx = np.concatenate((idx[~now], run[~ok]))
+            want = np.concatenate((want[~now], nxt[~ok]))
 
 
-def _mp_tier(out, todo, family_args, ns, xs, forms, choice, abs_target, rel, floor, lead, scale):
-    """The mpmath tier, one row per (form, n), each at its own precision."""
-    for i in todo:
-        if not np.isfinite(lead[i]):
-            lead[i] = q_log_maxterm(int(ns[i]), int(xs[i]), *family_args, forms[choice[i]][0])
-    rows = {}
-    for i in todo:
-        rows.setdefault((int(choice[i]), int(ns[i])), []).append(i)
-    for (fi, n), idx in rows.items():
-        idx = np.array(idx)
-        _mp_row(out, idx, n, xs[idx], family_args, forms[fi], abs_target[idx], rel,
-                floor[idx], lead[idx], scale[idx])
+def _mp_pass(form_scale, family_args, ns, xs, abs_target, rel, dps):
+    """The entries (ns, xs) of one form in mpf at dps digits, through the
+    kernel of the double tier: their values, whether each is accepted, and
+    the digits each calls for next.
 
-
-def _mp_row(out, idx, n, xs, family_args, form_scale, abs_t, rel, floor, lead, scale):
-    """Certify one row's entries (one form, one n) in mpmath; each pass runs
-    at the largest of the digits its entries call for.  Values, bounds and
-    the acceptance test stay in mpf, whose exponent range is unbounded: a sum
-    that cancels past the double range must not round to zero before it is
-    tested."""
+    Values, bounds and the acceptance test stay in mpf, whose exponent range
+    is unbounded: a sum that cancels past the double range must not round to
+    zero before it is tested.  The next digits bring the part of the bound
+    that scales with 10^-dps below the target the certified lower bound
+    sets; without a lower bound, they are twice dps, and at least
+    _DD_DIGITS past that part's size at 0 digits."""
     import mpmath
 
     form, (fh, fl, fk), delta = form_scale
-    fh, fl, fk = fh[idx], fl[idx], fk[idx]
-    log_cert = math.log10(_CERT * n)
-    # log10 of the bound on F S's error at 0 digits, CERT n max|term| |F|, from
-    # the double-double tier's largest term; the certificates use mpmath's own
-    lead_abs = log_cert + lead + fk * _LOG10_2 + np.log10(np.abs(fh))
-    target = _log10_target(abs_t, rel, floor, scale)
-    need = np.where(np.isfinite(target), lead_abs - target,
-                    np.maximum(lead_abs + 17.0, log_cert + 2 * _DD_DIGITS))
-    dps = max(30, math.ceil(need.max()) + 2)
-    while True:
-        dps = min(dps, _MAX_DPS)
-        _max_dps[0] = max(_max_dps[0], dps)
-        sums = q_mp_row(n, xs.tolist(), *family_args, dps, form)
-        ok = np.zeros(len(idx), dtype=bool)
-        with mpmath.workdps(dps):
-            for j, (s, biggest) in enumerate(sums):
-                ah = mpmath.ldexp(abs(float(fh[j])), int(fk[j]))
-                al = mpmath.ldexp(abs(float(fl[j])), int(fk[j]))
-                f = mpmath.ldexp(mpmath.mpf(float(fh[j])) + float(fl[j]), int(fk[j]))
-                e_s = _CERT * n * biggest * mpmath.mpf(10) ** -dps
-                v = f * s
-                # _product_error, and the test of _accepted, in mpf
-                e_v = (ah + al) * e_s + (al + delta * ah) * (abs(s) + e_s)
-                lower = abs(v) - e_v
-                if e_v <= float(abs_t[j]) + rel * lower or abs(v) + e_v < _TINY:
-                    out[idx[j]], ok[j] = float(v), True
-                else:
-                    bound = float(abs_t[j]) + rel * max(lower, 0)
-                    target[j] = float(mpmath.log10(bound)) if bound > 0 else -math.inf
-                    lead_abs[j] = float(mpmath.log10(_CERT * n * biggest * (ah + al)))
-        if ok.any():
-            _counts["mpmath", form.name] += int(np.count_nonzero(ok))
-        if ok.all():
-            return
-        if dps == _MAX_DPS:
-            raise ArithmeticError(
-                f"q-Hahn series (n={n}, x={xs[~ok][0]}) not certified at {_MAX_DPS} digits")
-        keep = ~ok
-        idx, xs, fh, fl, fk = idx[keep], xs[keep], fh[keep], fl[keep], fk[keep]
-        abs_t, target, lead_abs = abs_t[keep], target[keep], lead_abs[keep]
-        need = np.where(np.isfinite(target), lead_abs - target, 2.0 * dps)
-        dps = max(dps + 1, math.ceil(need.max()) + 2)
+    ldexp = np.frompyfunc(mpmath.ldexp, 2, 1)
+    with mpmath.workdps(dps):
+        plan = _Plan(form, family_args, ns, xs, mp=True)
+        total, maxterm, _ = _sum_double(plan)
+        e_s = maxterm * plan.nterms * (_CERT * mpmath.mpf(10) ** -dps)
+        fh, fl = ldexp(fh, fk), ldexp(fl, fk)
+        v = (fh + fl) * total
+        e_v = _product_error(fh, fl, delta, total, e_s)
+        ok = _accepted(v, e_v, abs_target, rel).astype(bool)
+        lead = _log10((np.abs(fh) + np.abs(fl)) * e_s).astype(float) + dps
+        goal = _log10(abs_target + rel * np.maximum(np.abs(v) - e_v, mpmath.mpf(0))).astype(float)
+    with np.errstate(invalid="ignore"):
+        need = np.where(goal > -np.inf, lead - goal + 2, np.maximum(2 * dps, lead + _DD_DIGITS))
+    return v.astype(float), ok, np.maximum(dps + 1, np.ceil(need)).astype(np.int64)
+
+
+# log10 of a nonnegative mpf from its mantissa and exponent: mpmath.log10
+# would compute log 10 anew at every new precision
+_log10 = np.frompyfunc(lambda v: math.log10(v.man) + v.exp * _LOG10_2 if v else -math.inf, 1, 1)
 
 
 def stats():

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hahn import HahnParams, orthonormal_table
+from .hahn import HahnParams, _check_m, orthonormal_table
 from .qhahn import QHahnParams, q_orthonormal_table
 
 __all__ = [
@@ -42,8 +42,7 @@ class ChainSpec:
     q: float | None = None
 
     def __post_init__(self):
-        if self.m < 0 or int(self.m) != self.m:
-            raise ValueError(f"m must be a nonnegative integer, got {self.m}")
+        object.__setattr__(self, "m", _check_m(self.m))  # a Python int
         if self.q is None:
             if not self.alpha > -1.0:
                 raise ValueError(f"alpha must exceed -1, got {self.alpha}")

@@ -248,7 +248,8 @@ def main(argv=None):
         cli.main(args=argv, standalone_mode=False)
     except VerificationFailure:
         sys.exit(2)
-    except (ValueError, ArithmeticError, click.ClickException, click.exceptions.Abort) as exc:
+    except (ValueError, ArithmeticError, MemoryError, click.ClickException,
+            click.exceptions.Abort) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     except OSError as exc:

@@ -326,6 +326,8 @@ def pst_scan(spec: ChainSpec, t_grid, tolerance: float = 1e-9) -> list[PSTResult
     deformed chain uses the folded eigen-expansion.  Either way the grid is
     one sine product against the spec's cached kernel.
     """
+    if not 0.0 <= tolerance < 1.0:
+        raise ValueError(f"tolerance must lie in [0, 1), got {tolerance}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("time grid must be nonempty")

@@ -46,8 +46,7 @@ class HahnParams:
     m: int
 
     def __post_init__(self):
-        if self.m < 0 or int(self.m) != self.m:
-            raise ValueError(f"m must be a nonnegative integer, got {self.m}")
+        object.__setattr__(self, "m", _check_m(self.m))  # a Python int
         if not (self.alpha > -1.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be finite and exceed -1, got {self.alpha}")
         if not (self.beta > -1.0 and math.isfinite(self.beta)):
@@ -56,6 +55,12 @@ class HahnParams:
     def shifted(self) -> "HahnParams":
         """The companion family (alpha+1, beta-1); requires beta > 0."""
         return HahnParams(self.alpha + 1.0, self.beta - 1.0, self.m)
+
+
+def _check_m(m):
+    if not (isinstance(m, (int, np.integer)) and m >= 0):
+        raise ValueError(f"m must be a nonnegative integer, got {m}")
+    return int(m)
 
 
 def _check_n(n, p):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _ddouble as dd
 from . import _series
-from .hahn import _check_n, _check_x, _identity_at
+from .hahn import _check_m, _check_n, _check_x, _identity_at
 
 __all__ = [
     "QHahnParams",
@@ -53,8 +53,7 @@ class QHahnParams:
     m: int
 
     def __post_init__(self):
-        if self.m < 0 or int(self.m) != self.m:
-            raise ValueError(f"m must be a nonnegative integer, got {self.m}")
+        object.__setattr__(self, "m", _check_m(self.m))  # a Python int
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0, 1), got {self.q}")
         if not 0.0 < self.alpha < 1.0 / self.q:

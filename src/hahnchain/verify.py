@@ -134,6 +134,8 @@ def run_verification(spec: ChainSpec, rtol: float | None = None) -> Verification
 
     When rtol is given it replaces every per-suite default tolerance.
     """
+    if rtol is not None and not rtol >= 0.0:
+        raise ValueError(f"rtol must be nonnegative, got {rtol}")
     tol = {k: (rtol if rtol is not None else v) for k, v in DEFAULT_TOLERANCES.items()}
     m_id = min(spec.m, _IDENTITY_M_CAP)
     plain = [hahn.HahnParams(a, b, m_id) for a, b in _CLASSICAL_GRID]

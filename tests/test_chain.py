@@ -135,6 +135,10 @@ def test_spec_validation():
         ChainSpec(3, 3.0, 0.5, 0.5)   # alpha >= 1/q
     with pytest.raises(ValueError):
         ChainSpec(3, 0.5, 1.0, 0.5)   # q-case needs beta < 1
+    for m in (2.0, np.float64(2.0), "2"):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            ChainSpec(m, 0.5, 1.5)
+    assert analytic_eigensystem(ChainSpec(np.int64(2), 0.5, 1.5)).dimension == 6
 
 
 def test_results_are_immutable():

@@ -182,6 +182,29 @@ def test_phase_noise_grid_exits_one(capsys, command):
     assert err.startswith("error:") and "phase" in err
 
 
+@pytest.mark.parametrize("command", ["correlate", "pst-scan"])
+def test_grid_too_large_to_allocate_exits_one(capsys, monkeypatch, command):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+    monkeypatch.setattr(np, "linspace", no_memory)  # nothing is really allocated
+    sites = ["--r", "5", "--s", "0"] if command == "correlate" else []
+    code, out, err = run_cli(capsys, command, "--m", "2", "--alpha", "0.5", "--beta", "1.5",
+                             *sites, "--steps", "1000000000000", "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Unable to allocate")
+
+
+@pytest.mark.parametrize("tolerance", ["5", "1", "-5", "nan"])
+def test_pst_scan_rejects_tolerance_outside_unit_interval(capsys, tolerance):
+    code, out, err = run_cli(capsys, "pst-scan", "--m", "2", "--alpha", "0.5", "--beta", "1.5",
+                             "--steps", "3", "--tolerance", tolerance, "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: tolerance")
+
+
 def test_phase_bound_admits_grids_to_thousands_at_m50(capsys):
     # max|e| = 2(alpha + m + 1) = 103 at m = 50: the bound sits near t = 4.4e3
     base = ["pst-scan", "--m", "50", "--alpha", "0.5", "--beta", "1.5", "--steps", "3",
@@ -232,6 +255,15 @@ def test_verify_failure_exits_two(capsys):
     assert code == 2
     payload = json.loads(out)
     assert payload["passed"] is False
+
+
+@pytest.mark.parametrize("rtol", ["-1", "nan"])
+def test_verify_rejects_negative_or_nan_rtol(capsys, rtol):
+    code, out, err = run_cli(capsys, "verify", "--m", "4", "--alpha", "0.3", "--beta", "1.2",
+                             "--rtol", rtol)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: rtol")
 
 
 def test_output_file_and_io_error(tmp_path, capsys):

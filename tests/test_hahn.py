@@ -82,6 +82,9 @@ def test_domain_checks():
         HahnParams(0.5, -1.0, 3)
     with pytest.raises(ValueError):
         HahnParams(0.5, 0.5, -1)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        HahnParams(0.5, 1.5, 2.0)
+    assert orthonormal_table(HahnParams(0.5, 1.5, np.int64(2))).shape == (3, 3)
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             HahnParams(bad, 0.5, 3)

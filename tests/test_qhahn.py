@@ -108,6 +108,9 @@ def test_domain_checks():
         QHahnParams(2.5, 0.5, 0.5, 4)  # alpha beyond 1/q
     with pytest.raises(ValueError):
         QHahnParams(0.5, 0.5, 1.2, 4)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        QHahnParams(0.5, 0.5, 0.5, 2.0)
+    assert q_orthonormal_table(QHahnParams(0.5, 0.5, 0.5, np.int64(2))).shape == (3, 3)
 
 
 def test_degree_one_hand_sum():
@@ -300,20 +303,20 @@ def _direct_only(p, n, x, orthonormal=False, **target):
 
 def test_mp_tier_row_matches_exact_sums(monkeypatch):
     # in the direct form alone, row 29 leaves 23 entries to the mpmath tier;
-    # each row pass evaluates all the row's entries still uncertified, and the
-    # passes must certify every one of them
+    # each pass evaluates only entries still uncertified, and the passes must
+    # certify every one of them
     p = QHahnParams(0.3, 0.2, 0.5, 30)
     passes = []
-    mp_row = _series.q_mp_row
+    mp_pass = _series._mp_pass
 
-    def spy(n, xs, *args):
-        passes.append((n, len(xs)))
-        return mp_row(n, xs, *args)
+    def spy(form_scale, family_args, ns, xs, *args):
+        passes.append(set(zip(ns.tolist(), xs.tolist())))
+        return mp_pass(form_scale, family_args, ns, xs, *args)
 
-    monkeypatch.setattr(_series, "q_mp_row", spy)
+    monkeypatch.setattr(_series, "_mp_pass", spy)
     row = _direct_only(p, 29, np.arange(31), rel=1e-15)
-    sizes = [size for n, size in passes if n == 29]
-    assert sizes[0] == 23 and sizes == sorted(sizes, reverse=True)
+    assert len(passes[0]) == 23 and {n for n, _ in passes[0]} == {29}
+    assert all(later < earlier for earlier, later in zip(passes, passes[1:]))
     for x, value in enumerate(row.tolist()):
         assert_matches_exact(value, exact_q_hahn(29, x, p), 1e-14)
 
