@@ -11,21 +11,21 @@ A value Q_n(q^-x) is a terminating 3phi2 sum in one of two forms:
 The direct terms alternate in sign and can dwarf the value by thousands of
 digits; the transformed sum, whose prefactor P = (-1)^n |P| carries the sign
 without cancellation, cancels a few digits at most unless q is close to 1.
-Both forms are data (QForm) that the same tier kernels consume -- vector
-double, vector double-double, then mpmath, whose passes run the double
-kernel on mpf object arrays -- with the running max |term| acting as an
-a-posteriori rounding certificate for each tier.  The caller gives, per
-form, the factor F each entry's sum is multiplied by (P, an orthonormal
-scale, or 1) as a split double-double with a bound on its relative error.
-One function, certified_entries, runs both forms in double precision, keeps
-per entry the form with the smaller certified bound, and applies the same
-absolute-or-relative acceptance test to F * S at every tier.
+Both forms are data (QForm) that the same tier kernels consume, with the
+running max |term| acting as an a-posteriori rounding certificate for each
+tier.  The caller gives, per form, the factor F each entry's sum is
+multiplied by (P, an orthonormal scale, or 1) as a split double-double with
+a bound on its relative error.  One function, certified_entries, climbs one
+ladder of tiers -- vector double, vector double-double, then mpmath, whose
+passes run the double kernel on mpf object arrays at 124 digits, doubling
+up to _MAX_DPS.  At each tier the forms run in the caller's order on the
+entries still uncertified, and an entry settles the first time F * S passes
+the same absolute-or-relative acceptance test.
 """
 
-import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -39,7 +39,6 @@ _TINY = 5e-324  # smallest subnormal double
 _DD_DIGITS = 31  # decimal digits of a double-double
 _BIG = 2.0 ** 200  # a running term past this is scaled down by 2^-_SHIFT (exactly)
 _SHIFT = 400
-_LOG10_2 = math.log10(2.0)
 
 # entries certified per (tier, form) and the largest mpmath precision used
 _counts = Counter()
@@ -139,7 +138,7 @@ def _tables(form, a, b, q, m):
 def _mp_tables(form, a, b, q, m, used):
     """The same tables in mpf at the working precision, as (values, None)
     object arrays filled only at the indices each factor uses."""
-    import mpmath  # only the last tier needs it, and most tables never reach it
+    import mpmath  # only the mpmath tiers need it, and most tables never reach them
 
     a, b, q = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(q)
     off = 2 * m + 2
@@ -259,121 +258,41 @@ def _product_error(fh, fl, delta, s, err_s):
     return (ah + al) * err_s + (al + delta * ah) * (np.abs(s) + err_s)
 
 
-def certified_entries(family_args, ns, xs, scales, abs_target=0.0, rel=0.0):
-    """Values F_f(n, x) * S_f(n, x) for the entries (ns[i], xs[i]), each certified.
+# Each tier takes one form's entries (ns, xs) with their factors
+# (form, (fh, fl, fk), delta) and targets, and returns their values as
+# doubles and whether each is accepted.
 
-    family_args = (a, b, q, m).  scales lists (form, (fh, fl, fk), delta): the
-    factor F_f = (fh + fl) 2^fk per entry (arrays like ns, or scalars) with
-    relative error at most delta.  Every form runs in double precision where
-    it holds; each entry keeps the form whose certified bound is smaller and
-    escalates with it.  Entry i is accepted once its bound err_i satisfies
-    err_i <= abs_target_i + rel * (|v_i| - err_i), or once |v_i| + err_i is
-    below the smallest subnormal so the value certifiably rounds to zero; the
-    returned double adds one final rounding.  The entries the double-double
-    tier leaves uncertified go to the mpmath tier (_mp_tier).  Raises
-    ArithmeticError if an entry cannot be certified at _MAX_DPS digits.
-    """
-    m = family_args[3]
-    ns, xs = (np.array(v, dtype=np.int64) for v in np.broadcast_arrays(ns, xs))
-    shape = ns.shape
-    ns, xs = ns.ravel(), xs.ravel()
-    count = ns.size
-    abs_target = np.array(np.broadcast_to(abs_target, shape), dtype=float).ravel()
-    forms = [(form, [np.broadcast_to(np.asarray(v), shape).ravel() for v in f], delta)
-             for form, f, delta in scales]
-    out = np.empty(count)
-    choice = np.full(count, -1)
-    best = np.full(count, np.inf)  # log2 of the absolute bound of the chosen form
-    val, err = np.zeros(count), np.full(count, np.inf)
-    scale = np.zeros(count, dtype=np.int64)
-    # an overflowing tier gives an inf or nan bound, which fails the test
-    with np.errstate(all="ignore"):
-        for fi, (form, (fh, fl, fk), delta) in enumerate(forms):
-            idx = np.nonzero(xs <= m + form.x_over)[0]
-            plan = _Plan(form, family_args, ns[idx], xs[idx])
-            total, maxterm, sc = _sum_double(plan)
-            e_s = (_CERT * _EPS) * plan.nterms * maxterm
-            e_v = _product_error(fh[idx], fl[idx], delta, total, e_s)
-            k = fk[idx] + sc
-            bound = np.log2(e_v) + k
-            bound[np.isnan(bound)] = np.inf
-            take = (bound < best[idx]) | (choice[idx] < 0) | (np.isinf(bound) & np.isinf(best[idx]))
-            sel = idx[take]
-            choice[sel], best[sel] = fi, bound[take]
-            val[sel], err[sel], scale[sel] = fh[sel] * total[take], e_v[take], k[take]
-        ok = _accepted(val, err, abs_target, rel, scale)
-        _settle(out, ok, val, scale, choice, forms, "double")
-        todo = np.nonzero(~ok)[0]
-        for fi, (form, (fh, fl, fk), delta) in enumerate(forms):
-            sel = todo[choice[todo] == fi]
-            if sel.size == 0:
-                continue
-            plan = _Plan(form, family_args, ns[sel], xs[sel])
-            sh, sl, maxterm, sc = _sum_dd(plan)
-            e_s = (_CERT * dd.EPS) * plan.nterms * maxterm
-            vh, _ = dd.mul(sh, sl, fh[sel], fl[sel])
-            e_v = _product_error(fh[sel], fl[sel], delta, sh, e_s) + 4.0 * dd.EPS * np.abs(vh)
-            val[sel], err[sel], scale[sel] = vh, e_v, fk[sel] + sc
-        ok = np.zeros(count, dtype=bool)
-        ok[todo] = _accepted(val[todo], err[todo], abs_target[todo], rel, scale[todo])
-        _settle(out, ok, val, scale, choice, forms, "double-double")
-        todo = todo[~ok[todo]]
-    if todo.size:
-        _mp_tier(out, todo, family_args, ns, xs, forms, choice, abs_target, rel)
-    return out.reshape(shape)
+def _double(form_scale, family_args, ns, xs, abs_target, rel):
+    form, (fh, fl, fk), delta = form_scale
+    plan = _Plan(form, family_args, ns, xs)
+    total, maxterm, sc = _sum_double(plan)
+    e_s = (_CERT * _EPS) * plan.nterms * maxterm
+    v, scale = fh * total, fk + sc
+    e_v = _product_error(fh, fl, delta, total, e_s)
+    return np.ldexp(v, scale), _accepted(v, e_v, abs_target, rel, scale)
 
 
-def _settle(out, ok, val, scale, choice, forms, tier):
-    out[ok] = np.ldexp(val[ok], scale[ok])
-    for fi, (form, _, _) in enumerate(forms):
-        done = int(np.count_nonzero(ok & (choice == fi)))
-        if done:
-            _counts[tier, form.name] += done
-
-
-def _mp_tier(out, todo, family_args, ns, xs, forms, choice, abs_target, rel):
-    """The mpmath tier.  Each pass runs every still-uncertified entry of one
-    form at the most digits any of them calls for.  The first asks for four
-    times the double-double digits: an mpf operation there costs about 1.5
-    times one at 31 digits, and every entry the first pass settles saves a
-    later pass.  Past _MAX_DPS only the entries calling for the most digits
-    run, at _MAX_DPS, so that one which cannot be certified fails before the
-    others run there."""
-    for fi, (form, f, delta) in enumerate(forms):
-        idx = todo[choice[todo] == fi]
-        want = np.full(idx.size, 4 * _DD_DIGITS)
-        while idx.size:
-            top = int(want.max())
-            now = want == top if top > _MAX_DPS else np.ones(idx.size, dtype=bool)
-            run, dps = idx[now], min(top, _MAX_DPS)
-            _max_dps[0] = max(_max_dps[0], dps)
-            val, ok, nxt = _mp_pass((form, [v[run] for v in f], delta), family_args,
-                                    ns[run], xs[run], abs_target[run], rel, dps)
-            out[run[ok]] = val[ok]
-            if ok.any():
-                _counts["mpmath", form.name] += int(np.count_nonzero(ok))
-            if dps == _MAX_DPS and not ok.all():
-                i = run[~ok][0]
-                raise ArithmeticError(
-                    f"q-Hahn series (n={ns[i]}, x={xs[i]}) not certified at {_MAX_DPS} digits")
-            idx = np.concatenate((idx[~now], run[~ok]))
-            want = np.concatenate((want[~now], nxt[~ok]))
+def _double_double(form_scale, family_args, ns, xs, abs_target, rel):
+    form, (fh, fl, fk), delta = form_scale
+    plan = _Plan(form, family_args, ns, xs)
+    sh, sl, maxterm, sc = _sum_dd(plan)
+    e_s = (_CERT * dd.EPS) * plan.nterms * maxterm
+    v, _ = dd.mul(sh, sl, fh, fl)
+    scale = fk + sc
+    e_v = _product_error(fh, fl, delta, sh, e_s) + 4.0 * dd.EPS * np.abs(v)
+    return np.ldexp(v, scale), _accepted(v, e_v, abs_target, rel, scale)
 
 
 def _mp_pass(form_scale, family_args, ns, xs, abs_target, rel, dps):
-    """The entries (ns, xs) of one form in mpf at dps digits, through the
-    kernel of the double tier: their values, whether each is accepted, and
-    the digits each calls for next.
+    """The mpmath tier at dps digits, through the kernel of the double tier.
 
     Values, bounds and the acceptance test stay in mpf, whose exponent range
     is unbounded: a sum that cancels past the double range must not round to
-    zero before it is tested.  The next digits bring the part of the bound
-    that scales with 10^-dps below the target the certified lower bound
-    sets; without a lower bound, they are twice dps, and at least
-    _DD_DIGITS past that part's size at 0 digits."""
+    zero before it is tested."""
     import mpmath
 
     form, (fh, fl, fk), delta = form_scale
+    _max_dps[0] = max(_max_dps[0], dps)
     ldexp = np.frompyfunc(mpmath.ldexp, 2, 1)
     with mpmath.workdps(dps):
         plan = _Plan(form, family_args, ns, xs, mp=True)
@@ -383,23 +302,69 @@ def _mp_pass(form_scale, family_args, ns, xs, abs_target, rel, dps):
         v = (fh + fl) * total
         e_v = _product_error(fh, fl, delta, total, e_s)
         ok = _accepted(v, e_v, abs_target, rel).astype(bool)
-        lead = _log10((np.abs(fh) + np.abs(fl)) * e_s).astype(float) + dps
-        goal = _log10(abs_target + rel * np.maximum(np.abs(v) - e_v, mpmath.mpf(0))).astype(float)
-    with np.errstate(invalid="ignore"):
-        need = np.where(goal > -np.inf, lead - goal + 2, np.maximum(2 * dps, lead + _DD_DIGITS))
-    return v.astype(float), ok, np.maximum(dps + 1, np.ceil(need)).astype(np.int64)
+    return v.astype(float), ok
 
 
-# log10 of a nonnegative mpf from its mantissa and exponent: mpmath.log10
-# would compute log 10 anew at every new precision
-_log10 = np.frompyfunc(lambda v: math.log10(v.man) + v.exp * _LOG10_2 if v else -math.inf, 1, 1)
+def _ladder():
+    """(name, tier) from the cheapest tier up: double, double-double, then
+    mpmath at four times the double-double digits, doubling up to _MAX_DPS,
+    which is read at each call."""
+    yield "double", _double
+    yield "double-double", _double_double
+    dps = 4 * _DD_DIGITS
+    while dps < _MAX_DPS:
+        yield "mpmath", partial(_mp_pass, dps=dps)
+        dps *= 2
+    yield "mpmath", partial(_mp_pass, dps=_MAX_DPS)
+
+
+def certified_entries(family_args, ns, xs, scales, abs_target=0.0, rel=0.0):
+    """Values F_f(n, x) * S_f(n, x) for the entries (ns[i], xs[i]), each certified.
+
+    family_args = (a, b, q, m).  scales lists (form, (fh, fl, fk), delta) in
+    the order the forms are tried: the factor F_f = (fh + fl) 2^fk per entry
+    (arrays like ns, or scalars) with relative error at most delta.  Each
+    tier of _ladder runs every form in turn on the still-uncertified entries
+    where it holds.  Entry i settles the first time its bound err_i satisfies
+    err_i <= abs_target_i + rel * (|v_i| - err_i), or |v_i| + err_i is below
+    the smallest subnormal so the value certifiably rounds to zero; the
+    returned double adds one final rounding.  Raises ArithmeticError if an
+    entry is still uncertified at _MAX_DPS digits.
+    """
+    m = family_args[3]
+    ns, xs = (np.array(v, dtype=np.int64) for v in np.broadcast_arrays(ns, xs))
+    shape = ns.shape
+    ns, xs = ns.ravel(), xs.ravel()
+    abs_target = np.array(np.broadcast_to(abs_target, shape), dtype=float).ravel()
+    forms = [(form, [np.broadcast_to(np.asarray(v), shape).ravel() for v in f], delta)
+             for form, f, delta in scales]
+    out = np.empty(ns.size)
+    left = np.ones(ns.size, dtype=bool)
+    # an overflowing tier gives an inf or nan bound, which fails the test
+    with np.errstate(all="ignore"):
+        for tier, run in _ladder():
+            for form, f, delta in forms:
+                idx = np.nonzero(left & (xs <= m + form.x_over))[0]
+                if idx.size == 0:
+                    continue
+                val, ok = run((form, [v[idx] for v in f], delta), family_args,
+                              ns[idx], xs[idx], abs_target[idx], rel)
+                out[idx[ok]] = val[ok]
+                left[idx[ok]] = False
+                _counts[tier, form.name] += int(np.count_nonzero(ok))
+            if not left.any():
+                return out.reshape(shape)
+    i = np.nonzero(left)[0][0]
+    raise ArithmeticError(
+        f"q-Hahn series (n={ns[i]}, x={xs[i]}) not certified at {_MAX_DPS} digits")
 
 
 def stats():
     """Entries certified per (tier, form) and the largest mpmath precision."""
     tiers = {}
     for (tier, form), n in _counts.items():
-        tiers.setdefault(tier, {})[form] = n
+        if n:
+            tiers.setdefault(tier, {})[form] = n
     return {"entries": tiers, "max_mp_dps": _max_dps[0]}
 
 

@@ -20,8 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import (ChainSpec, EigenSystem, _family_tables, _readonly, analytic_eigensystem,
-                    mode_frequencies)
+from .chain import ChainSpec, EigenSystem, _family_tables, _readonly, mode_frequencies
 from .special import log_pochhammer, q_pochhammer
 
 __all__ = [
@@ -312,10 +311,9 @@ def q_end_to_end(spec: ChainSpec, t: float) -> complex:
 def _fold_kernel(spec: ChainSpec):
     """(c, omega) of the eigen-expansion of f_{N,0} folded onto the positive
     frequencies: columns m-j and m+j+1 pair up, so
-    f = 2i sum_j U[N, m-j] U[0, m-j] sin(omega_j t)."""
-    es = analytic_eigensystem(spec)
-    cols = np.arange(spec.m, -1, -1)  # m-j for j = 0..m
-    c = -2.0 * es.U[es.dimension - 1, cols] * es.U[0, cols]
+    f = 2i sum_j U[N, m-j] U[0, m-j] sin(omega_j t), read from the mode
+    profiles as U[site, m-j] = g_site(j)/sqrt(2)."""
+    c = -_mode_profile(spec, 2 * spec.m + 1) * _mode_profile(spec, 0)
     return _readonly(c), _frequencies(spec)
 
 

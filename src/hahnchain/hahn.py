@@ -63,15 +63,19 @@ def _check_m(m):
     return int(m)
 
 
+def _check_index(value, hi, name):
+    # the rule of _check_m: a Python or numpy integer, returned as a Python int
+    if not (isinstance(value, (int, np.integer)) and 0 <= value <= hi):
+        raise ValueError(f"{name}={value} outside [0, {hi}]")
+    return int(value)
+
+
 def _check_n(n, p):
-    if not 0 <= n <= p.m:
-        raise ValueError(f"degree n={n} outside [0, {p.m}]")
+    return _check_index(n, p.m, "degree n")
 
 
 def _check_x(x, p, extended=False):
-    hi = p.m + 1 if extended else p.m
-    if not 0 <= x <= hi:
-        raise ValueError(f"lattice point x={x} outside [0, {hi}]")
+    return _check_index(x, p.m + 1 if extended else p.m, "lattice point x")
 
 
 def _dyadic(p):
@@ -162,8 +166,7 @@ def hahn_Q(n: int, x: int, p: HahnParams) -> float:
     The sum has min(n, x) + 1 nonzero terms.  x = m + 1 is accepted: the
     difference identities evaluate one step past the lattice edge.
     """
-    _check_n(n, p)
-    _check_x(x, p, extended=True)
+    n, x = _check_n(n, p), _check_x(x, p, extended=True)
     coeffs = _coefficients(n, *_dyadic(p), p.m)
     return _to_float(_horner(coeffs, x), coeffs[0])
 
@@ -171,22 +174,19 @@ def hahn_Q(n: int, x: int, p: HahnParams) -> float:
 def hahn_weight(x: int, p: HahnParams) -> float:
     """Orthogonality weight binom(alpha+x, x) * binom(m+beta-x, m-x), correctly
     rounded."""
-    _check_x(x, p)
-    return _to_float(*_weights_and_norms(p)[0][x])
+    return _to_float(*_weights_and_norms(p)[0][_check_x(x, p)])
 
 
 def hahn_norm(n: int, p: HahnParams) -> float:
     """Squared norm h_n, correctly rounded; always positive on the admissible
     domain."""
-    _check_n(n, p)
-    return _to_float(*_weights_and_norms(p)[1][n])
+    return _to_float(*_weights_and_norms(p)[1][_check_n(n, p)])
 
 
 def hahn_orthonormal(n: int, x: int, p: HahnParams) -> float:
     """Orthonormal function sqrt(w(x)/h_n) * Q_n(x); equal to the entry of
     orthonormal_table."""
-    _check_n(n, p)
-    _check_x(x, p)
+    n, x = _check_n(n, p), _check_x(x, p)
     return float(_orthonormal_rows(p, [n])[0, x])
 
 
@@ -205,9 +205,7 @@ def _identity_at(value, terms, n, x, p):
     """terms(n, x, p, ...) of a family's two contiguous identities at (n, x),
     x <= m-1, from value(n, x, p) at x and x+1 of p and p.shifted().  Shared
     by the plain and the q family."""
-    _check_n(n, p)
-    if not 0 <= x <= p.m - 1:
-        raise ValueError(f"x={x} outside [0, {p.m - 1}]")
+    n, x = _check_n(n, p), _check_index(x, p.m - 1, "x")
     sh = p.shifted()
     return terms(n, x, p, value(n, x, p), value(n, x + 1, p), value(n, x, sh), value(n, x + 1, sh))
 

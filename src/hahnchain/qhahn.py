@@ -152,15 +152,16 @@ def _to_double(v):
 
 
 def _scales(p, n, x, orthonormal=False):
-    """Per series form, the factor F its sums are multiplied by, for the
-    entries (n, x) as broadcast arrays, in the form certified_entries takes:
+    """Per series form, in the order certified_entries tries them, the factor
+    F its sums are multiplied by, for the entries (n, x) as broadcast arrays:
     F = sqrt(w(x)/h_n) for orthonormal values and F = 1 otherwise, and for
     the transformed form F P, where
 
         P = (-1)^n (aq)^n q^{n(n-1)/2} (bq;q)_{m-x+n} / ((bq;q)_{m-x} (aq;q)_n);
 
     both factors are split into a row part, a column part and, for P, the
-    entry (bq;q)_{m-x+n}.
+    entry (bq;q)_{m-x+n}.  The direct form comes first: only its single term
+    gives Q_n(q^0) = 1 exactly.
     """
     t = _factorials(p)
     m = p.m
@@ -184,8 +185,8 @@ def _scales(p, n, x, orthonormal=False):
 
 def _values(p, n, x, abs_target=0.0, rel=0.0, orthonormal=False):
     """Certified F * Q_n(q^-x) over broadcast n and x, with F = sqrt(w(x)/h_n)
-    for orthonormal values and F = 1 otherwise, each entry in whichever
-    series form certifies it more cheaply."""
+    for orthonormal values and F = 1 otherwise, each entry in the first series
+    form, at the cheapest tier, that certifies it."""
     n, x = np.broadcast_arrays(np.asarray(n, dtype=np.int64), np.asarray(x, dtype=np.int64))
     return _series.certified_entries((p.alpha, p.beta, p.q, p.m), n, x,
                                      _scales(p, n, x, orthonormal), abs_target, rel)
@@ -206,8 +207,7 @@ def q_hahn_Q(n: int, x: int, p: QHahnParams) -> float:
     Certified to 1e-14 relative accuracy at any magnitude.  Values at x <= m
     come from row n, evaluated once per parameter set and cached.
     """
-    _check_n(n, p)
-    _check_x(x, p, extended=True)
+    n, x = _check_n(n, p), _check_x(x, p, extended=True)
     if x <= p.m:
         return float(_q_row(p, n)[x])
     return float(_values(p, n, x, rel=_REL))
@@ -215,21 +215,18 @@ def q_hahn_Q(n: int, x: int, p: QHahnParams) -> float:
 
 def q_hahn_weight(x: int, p: QHahnParams) -> float:
     """Orthogonality weight at x, within one rounding of the exact value."""
-    _check_x(x, p)
-    return float(q_weight_vector(p)[x])
+    return float(q_weight_vector(p)[_check_x(x, p)])
 
 
 def q_hahn_norm(n: int, p: QHahnParams) -> float:
     """Squared norm h_n; always positive on the admissible domain."""
-    _check_n(n, p)
-    return float(q_norm_vector(p)[n])
+    return float(q_norm_vector(p)[_check_n(n, p)])
 
 
 def q_hahn_orthonormal(n: int, x: int, p: QHahnParams) -> float:
     """Orthonormal function sqrt(w(x)/h_n) * Q_n(q^{-x}); the same certified
     value as the entry of q_orthonormal_table."""
-    _check_n(n, p)
-    _check_x(x, p)
+    n, x = _check_n(n, p), _check_x(x, p)
     return float(_values(p, n, x, abs_target=_ABS_ENTRY, orthonormal=True))
 
 

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import hahnchain
 from hahnchain.chain import (ChainSpec, CouplingArray, analytic_eigensystem,
                              build_couplings, interaction_matrix,
                              mode_frequencies, residual_MU_UD)
+from hahnchain.qhahn import q_orthonormal_table
 
 
 def test_christandl_couplings_exact():
@@ -188,4 +190,19 @@ def test_deformed_eigensystem_property(spec):
     es = analytic_eigensystem(spec)
     emax = np.max(np.abs(es.eigenvalues))
     assert residual_MU_UD(spec) <= 1e-10 * emax
+    assert np.max(np.abs(es.U.T @ es.U - np.eye(es.dimension))) <= 1e-10
+
+
+
+@pytest.mark.parametrize("spec", [ChainSpec(40, 0.3, 0.2, 1e-4), ChainSpec(12, 0.3, 0.2, 1e-13)])
+def test_small_q_chains_build_at_the_first_mpmath_rungs(spec):
+    # the direct sums cancel past 3000 digits at q = 1e-4, m = 40, where
+    # (2m+2)|log10 q| = 328 > 308 overflows the factor tables, and past 1000
+    # at q = 1e-13; the transformed form certifies what they leave
+    analytic_eigensystem.cache_clear()
+    q_orthonormal_table.cache_clear()
+    hahnchain.reset_stats()
+    es = analytic_eigensystem(spec)
+    assert hahnchain.stats()["max_mp_dps"] <= 248
+    assert residual_MU_UD(spec) <= 1e-10 * np.max(np.abs(es.eigenvalues))
     assert np.max(np.abs(es.U.T @ es.U - np.eye(es.dimension))) <= 1e-10

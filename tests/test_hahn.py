@@ -11,7 +11,8 @@ from hahnchain.hahn import (HahnParams, diff_residual_1, diff_residual_2,
                             norm_vector, orthonormal_table, polynomial_table,
                             weight_vector)
 from hahnchain.qhahn import (QHahnParams, q_diff_residual_1, q_diff_residual_2,
-                             q_hahn_Q, q_hahn_orthonormal)
+                             q_hahn_Q, q_hahn_norm, q_hahn_orthonormal,
+                             q_hahn_weight)
 
 
 # ---- independent brute-force oracles (direct defining sums/products) ----
@@ -292,7 +293,9 @@ def test_exact_gram_matrix_is_diagonal_norms(a, b, m):
 _PLAIN, _DEFORMED = HahnParams(0.4, 0.6, 4), QHahnParams(0.4, 0.6, 0.5, 4)
 _PAIRS = {"value": (hahn_Q, q_hahn_Q), "orthonormal": (hahn_orthonormal, q_hahn_orthonormal),
           "identity-1": (diff_residual_1, q_diff_residual_1),
-          "identity-2": (diff_residual_2, q_diff_residual_2)}
+          "identity-2": (diff_residual_2, q_diff_residual_2),
+          "weight": (lambda _, x, p: hahn_weight(x, p), lambda _, x, p: q_hahn_weight(x, p)),
+          "norm": (lambda n, _, p: hahn_norm(n, p), lambda n, _, p: q_hahn_norm(n, p))}
 
 
 @pytest.mark.parametrize("pair,n,x,message", [
@@ -306,10 +309,27 @@ _PAIRS = {"value": (hahn_Q, q_hahn_Q), "orthonormal": (hahn_orthonormal, q_hahn_
     ("identity-2", 5, 0, "degree n=5 outside [0, 4]"),
     ("identity-2", 0, 6, "x=6 outside [0, 3]"),
     ("identity-2", 0, 4, "x=4 outside [0, 3]"),
+    ("value", 2.0, 1, "degree n=2.0 outside [0, 4]"),
+    ("value", 2, 1.5, "lattice point x=1.5 outside [0, 5]"),
+    ("value", 2, 1.0, "lattice point x=1.0 outside [0, 5]"),
+    ("orthonormal", 2.0, 1, "degree n=2.0 outside [0, 4]"),
+    ("orthonormal", 2, 1.5, "lattice point x=1.5 outside [0, 4]"),
+    ("identity-1", 2.0, 1, "degree n=2.0 outside [0, 4]"),
+    ("identity-2", 2, 1.5, "x=1.5 outside [0, 3]"),
+    ("weight", 0, 1.0, "lattice point x=1.0 outside [0, 4]"),
+    ("norm", 2.0, 0, "degree n=2.0 outside [0, 4]"),
 ])
 def test_domain_errors_shared_by_both_families(pair, n, x, message):
-    # n = m+1, x = m+2 and, for the identities, x = m, at m = 4
+    # n = m+1, x = m+2 and, for the identities, x = m, at m = 4; and
+    # non-integer n or x, floats that hold an integer included
     for f, p in zip(_PAIRS[pair], (_PLAIN, _DEFORMED)):
         with pytest.raises(ValueError) as err:
             f(n, x, p)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("pair", sorted(_PAIRS))
+def test_numpy_integer_arguments_match_python_ints(pair):
+    for f, p in zip(_PAIRS[pair], (_PLAIN, _DEFORMED)):
+        assert f(np.int64(2), np.int32(1), p) == f(2, 1, p)
+        assert f(np.uint8(3), np.int64(2), p) == f(3, 2, p)

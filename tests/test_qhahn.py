@@ -303,18 +303,20 @@ def _direct_only(p, n, x, orthonormal=False, **target):
 
 def test_mp_tier_row_matches_exact_sums(monkeypatch):
     # in the direct form alone, row 29 leaves 23 entries to the mpmath tier;
-    # each pass evaluates only entries still uncertified, and the passes must
-    # certify every one of them
+    # each pass evaluates only entries still uncertified, climbing the ladder
+    # of digits, and the passes must certify every one of them
     p = QHahnParams(0.3, 0.2, 0.5, 30)
-    passes = []
+    passes, digits = [], []
     mp_pass = _series._mp_pass
 
-    def spy(form_scale, family_args, ns, xs, *args):
+    def spy(form_scale, family_args, ns, xs, *args, dps):
         passes.append(set(zip(ns.tolist(), xs.tolist())))
-        return mp_pass(form_scale, family_args, ns, xs, *args)
+        digits.append(dps)
+        return mp_pass(form_scale, family_args, ns, xs, *args, dps=dps)
 
     monkeypatch.setattr(_series, "_mp_pass", spy)
     row = _direct_only(p, 29, np.arange(31), rel=1e-15)
+    assert digits == [124, 248, 496]
     assert len(passes[0]) == 23 and {n for n, _ in passes[0]} == {29}
     assert all(later < earlier for earlier, later in zip(passes, passes[1:]))
     for x, value in enumerate(row.tolist()):
