@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hahn import HahnParams, _check_m, orthonormal_table
+from .hahn import HahnParams, orthonormal_table
 from .qhahn import QHahnParams, q_orthonormal_table
 
 __all__ = [
@@ -42,19 +42,13 @@ class ChainSpec:
     q: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _check_m(self.m))  # a Python int
-        if self.q is None:
-            if not self.alpha > -1.0:
-                raise ValueError(f"alpha must exceed -1, got {self.alpha}")
-            if not self.beta > 0.0:
-                raise ValueError(f"beta must be positive, got {self.beta}")
-        else:
-            if not 0.0 < self.q < 1.0:
-                raise ValueError(f"q must lie in (0, 1), got {self.q}")
-            if not 0.0 < self.alpha < 1.0 / self.q:
-                raise ValueError(f"alpha must lie in (0, 1/q), got {self.alpha}")
-            if not 0.0 < self.beta < 1.0:
-                raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+        # the chain's own bound keeps the companion family in its domain; the
+        # families check m, alpha, q and finiteness
+        if self.q is None and not self.beta > 0.0:
+            raise ValueError(f"beta must be positive, got {self.beta}")
+        if self.q is not None and not 0.0 < self.beta < 1.0:
+            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+        object.__setattr__(self, "m", _families(self)[0].m)  # a Python int
 
     @property
     def n_couplings(self) -> int:
@@ -140,6 +134,15 @@ def _twice_sqrt_product(x: float, y: float) -> float:
     return 2.0 * math.ldexp(math.sqrt(math.ldexp(x, -2 * ex) * math.ldexp(y, -2 * ey)), ex + ey)
 
 
+def _check_normal(values: np.ndarray, name: str) -> np.ndarray:
+    """values, or ArithmeticError when one is not a finite normal double."""
+    bad = ~((values >= _MIN_NORMAL) & (values < math.inf))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ArithmeticError(f"{name}_{k} = {float(values[k])!r} is not a finite normal double")
+    return values
+
+
 def build_couplings(spec: ChainSpec) -> CouplingArray:
     """Coupling strengths for the chain.
 
@@ -147,8 +150,11 @@ def build_couplings(spec: ChainSpec) -> CouplingArray:
         odd k:  sqrt((k+1)(2m+1-k))
         even k: sqrt((k+2a+2)(2m+2b-k))
     q case:
-        J_{2k}   = 2 sqrt((1-a q^{k+1})(1-b q^{m-k}) q^k),    k = 0..m
-        J_{2k+1} = 2 sqrt((1-q^{k+1})(1-q^{m-k}) q^{k+1} a),  k = 0..m-1
+        J_{2k}   = 2 sqrt((1-a q^{k+1})(1-b q^{m-k})) q^{k/2},      k = 0..m
+        J_{2k+1} = 2 sqrt((1-q^{k+1})(1-q^{m-k}) a) q^{(k+1)/2},  k = 0..m-1
+    The powers of q stay outside the root, so they underflow only where the
+    coupling itself does.  ArithmeticError when a coupling is not a finite
+    normal double.
     """
     m = spec.m
     n = spec.n_couplings
@@ -164,10 +170,12 @@ def build_couplings(spec: ChainSpec) -> CouplingArray:
     else:
         a, b, q = spec.alpha, spec.beta, spec.q
         for k in range(m + 1):
-            j[2 * k] = 2.0 * math.sqrt((1.0 - a * q ** (k + 1)) * (1.0 - b * q ** (m - k)) * q ** k)
+            j[2 * k] = (2.0 * math.sqrt((1.0 - a * q ** (k + 1)) * (1.0 - b * q ** (m - k)))
+                        * q ** (k / 2.0))
         for k in range(m):
-            j[2 * k + 1] = 2.0 * math.sqrt((1.0 - q ** (k + 1)) * (1.0 - q ** (m - k)) * q ** (k + 1) * a)
-    return CouplingArray(j)
+            j[2 * k + 1] = (2.0 * math.sqrt((1.0 - q ** (k + 1)) * (1.0 - q ** (m - k)) * a)
+                            * q ** ((k + 1) / 2.0))
+    return CouplingArray(_check_normal(j, "J"))
 
 
 def interaction_matrix(couplings: CouplingArray) -> TridiagonalMatrix:
@@ -175,11 +183,14 @@ def interaction_matrix(couplings: CouplingArray) -> TridiagonalMatrix:
     return TridiagonalMatrix(couplings)
 
 
+@lru_cache(maxsize=256)
 def mode_frequencies(spec: ChainSpec) -> np.ndarray:
     """Positive half of the spectrum: omega_0 < ... < omega_m.
 
     Plain: omega_k = 2 sqrt((a+k+1)(b+k)).
-    q:     omega_k = 2 sqrt((1-a q^{k+1})(1-b q^k) q^{m-k}).
+    q:     omega_k = 2 sqrt((1-a q^{k+1})(1-b q^k)) q^{(m-k)/2}.
+    Cached per spec; the returned array is read-only.  ArithmeticError when a
+    frequency is not a finite normal double.
     """
     m = spec.m
     w = np.empty(m + 1)
@@ -190,16 +201,21 @@ def mode_frequencies(spec: ChainSpec) -> np.ndarray:
     else:
         a, b, q = spec.alpha, spec.beta, spec.q
         for k in range(m + 1):
-            w[k] = 2.0 * math.sqrt((1.0 - a * q ** (k + 1)) * (1.0 - b * q ** k) * q ** (m - k))
-    return w
+            w[k] = (2.0 * math.sqrt((1.0 - a * q ** (k + 1)) * (1.0 - b * q ** k))
+                    * q ** ((m - k) / 2.0))
+    return _readonly(_check_normal(w, "omega"))
+
+
+def _families(spec: ChainSpec):
+    """The (alpha, beta) family of the even sites and its companion on the odd sites."""
+    p = (HahnParams(spec.alpha, spec.beta, spec.m) if spec.q is None
+         else QHahnParams(spec.alpha, spec.beta, spec.q, spec.m))
+    return p, p.shifted()
 
 
 def _family_tables(spec: ChainSpec):
-    if spec.q is None:
-        p0 = HahnParams(spec.alpha, spec.beta, spec.m)
-        return orthonormal_table(p0), orthonormal_table(p0.shifted())
-    p0 = QHahnParams(spec.alpha, spec.beta, spec.q, spec.m)
-    return q_orthonormal_table(p0), q_orthonormal_table(p0.shifted())
+    table = orthonormal_table if spec.q is None else q_orthonormal_table
+    return tuple(table(p) for p in _families(spec))
 
 
 @lru_cache(maxsize=256)

@@ -54,7 +54,7 @@ class CorrelationSample:
     amplitude: complex
 
     def __post_init__(self):
-        if abs(self.amplitude) > _AMP_BOUND:
+        if not abs(self.amplitude) <= _AMP_BOUND:
             raise ValueError(f"amplitude modulus {abs(self.amplitude)} exceeds the unitarity bound")
 
     @property
@@ -89,6 +89,11 @@ def _check_site(r, n_sites):
         raise ValueError(f"site index {r} outside [0, {n_sites - 1}]")
 
 
+def _check_time(t):
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+
+
 def correlation(es: EigenSystem, r: int, s: int, t: float) -> CorrelationSample:
     """Amplitude by direct eigen-expansion, cross-checked against the folded sum.
 
@@ -98,6 +103,7 @@ def correlation(es: EigenSystem, r: int, s: int, t: float) -> CorrelationSample:
     n = es.dimension
     _check_site(r, n)
     _check_site(s, n)
+    _check_time(t)
     phases = np.exp(-1j * t * es.eigenvalues)
     direct = complex(np.dot(es.U[r] * es.U[s], phases))
     m = n // 2 - 1
@@ -114,6 +120,7 @@ def correlation(es: EigenSystem, r: int, s: int, t: float) -> CorrelationSample:
 
 def correlation_matrix(es: EigenSystem, t: float) -> np.ndarray:
     """All amplitudes at once: F(t) = U exp(-i t D) U^T (unitary)."""
+    _check_time(t)
     phases = np.exp(-1j * t * es.eigenvalues)
     return (es.U * phases[None, :]) @ es.U.T
 
@@ -138,7 +145,8 @@ def correlation_closed_form(spec: ChainSpec, r: int, s: int, t: float) -> Correl
     n_sites = 2 * spec.m + 2
     _check_site(r, n_sites)
     _check_site(s, n_sites)
-    w = _frequencies(spec)
+    _check_time(t)
+    w = mode_frequencies(spec)
     gr = _mode_profile(spec, r)
     gs = gr if s == r else _mode_profile(spec, s)
     if (r + s) % 2 == 0:
@@ -156,18 +164,12 @@ def _sine_sum(kernel, t):
 
 
 @lru_cache(maxsize=256)
-def _frequencies(spec: ChainSpec):
-    """mode_frequencies(spec), cached read-only."""
-    return _readonly(mode_frequencies(spec))
-
-
-@lru_cache(maxsize=256)
 def _general_kernel(spec: ChainSpec):
     """(c, omega) of the general end-to-end sine sum, omega the mode frequencies."""
     m, a, b = spec.m, spec.alpha, spec.beta
     lg = math.lgamma
     lpref = 0.5 * (log_pochhammer(b, m + 1) + log_pochhammer(a + 1.0, m + 1))
-    w = _frequencies(spec)
+    w = mode_frequencies(spec)
     c = np.empty(m + 1)
     for j in range(m + 1):
         lnum = lg(m + 1.0) - lg(m - j + 1.0)
@@ -226,6 +228,7 @@ def end_to_end(spec: ChainSpec, t: float) -> CorrelationSample:
     """
     if spec.q is not None:
         raise ValueError("end_to_end applies to the undeformed chain; see q_end_to_end")
+    _check_time(t)
     return CorrelationSample(2 * spec.m + 1, 0, t, -1j * float(_end_to_end_sum(spec, t)))
 
 
@@ -304,6 +307,7 @@ def q_end_to_end(spec: ChainSpec, t: float) -> complex:
     Note the overall sign: the prefactor is -i(-1)^m; the +i(-1)^m variant
     fails against the eigen-expansion for every m (checked in high precision).
     """
+    _check_time(t)
     return complex(_q_closed_form(spec, t))
 
 
@@ -314,7 +318,7 @@ def _fold_kernel(spec: ChainSpec):
     f = 2i sum_j U[N, m-j] U[0, m-j] sin(omega_j t), read from the mode
     profiles as U[site, m-j] = g_site(j)/sqrt(2)."""
     c = -_mode_profile(spec, 2 * spec.m + 1) * _mode_profile(spec, 0)
-    return _readonly(c), _frequencies(spec)
+    return _readonly(c), mode_frequencies(spec)
 
 
 def pst_scan(spec: ChainSpec, t_grid, tolerance: float = 1e-9) -> list[PSTResult]:

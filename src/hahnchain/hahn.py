@@ -70,6 +70,12 @@ def _check_index(value, hi, name):
     return int(value)
 
 
+def _check_rel(rel):
+    # a relative tolerance of a table: 0 or less, 1 or more, or nan asks for nothing certifiable
+    if not 0.0 < rel < 1.0:
+        raise ValueError(f"rel must lie in (0, 1), got {rel}")
+
+
 def _check_n(n, p):
     return _check_index(n, p.m, "degree n")
 
@@ -243,8 +249,9 @@ def polynomial_table(p: HahnParams, rel: float = 1e-13) -> np.ndarray:
     """Table Q[n, x] for n, x in 0..m.
 
     Every entry is the exact value correctly rounded, so it meets any relative
-    tolerance rel down to the double rounding unit.
+    tolerance rel in (0, 1) down to the double rounding unit.
     """
+    _check_rel(rel)
     ints = _dyadic(p)
     out = np.empty((p.m + 1, p.m + 1))
     for n in range(p.m + 1):

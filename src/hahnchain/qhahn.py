@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _ddouble as dd
 from . import _series
-from .hahn import _check_m, _check_n, _check_x, _identity_at
+from .hahn import _check_m, _check_n, _check_rel, _check_x, _identity_at
 
 __all__ = [
     "QHahnParams",
@@ -194,8 +194,8 @@ def _values(p, n, x, abs_target=0.0, rel=0.0, orthonormal=False):
 
 @lru_cache(maxsize=1024)
 def _q_row(p, n):
-    # Q_n(q^-x), x = 0..m, to the relative accuracy of q_hahn_Q
-    out = _values(p, n, np.arange(p.m + 1), rel=_REL)
+    # Q_n(q^-x), x = 0..m+1, to the relative accuracy of q_hahn_Q
+    out = _values(p, n, np.arange(p.m + 2), rel=_REL)
     out.flags.writeable = False
     return out
 
@@ -204,13 +204,11 @@ def q_hahn_Q(n: int, x: int, p: QHahnParams) -> float:
     """Polynomial value Q_n(q^{-x}) as the terminating basic hypergeometric sum.
 
     min(n, x) + 1 nonzero terms; x = m + 1 is accepted for the identity checks.
-    Certified to 1e-14 relative accuracy at any magnitude.  Values at x <= m
-    come from row n, evaluated once per parameter set and cached.
+    Certified to 1e-14 relative accuracy at any magnitude.  Every value comes
+    from row n, evaluated once per parameter set and cached.
     """
     n, x = _check_n(n, p), _check_x(x, p, extended=True)
-    if x <= p.m:
-        return float(_q_row(p, n)[x])
-    return float(_values(p, n, x, rel=_REL))
+    return float(_q_row(p, n)[x])
 
 
 def q_hahn_weight(x: int, p: QHahnParams) -> float:
@@ -273,7 +271,9 @@ def q_norm_vector(p: QHahnParams) -> np.ndarray:
 
 
 def q_polynomial_table(p: QHahnParams, rel: float = 1e-13) -> np.ndarray:
-    """Table Q[n, x] for n, x in 0..m, each entry certified to rel accuracy."""
+    """Table Q[n, x] for n, x in 0..m, each entry certified to rel accuracy,
+    rel in (0, 1)."""
+    _check_rel(rel)
     k = np.arange(p.m + 1)
     return _values(p, k[:, None], k[None, :], rel=rel)
 

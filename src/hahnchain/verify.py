@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hahn, qhahn
-from .chain import ChainSpec, analytic_eigensystem, build_couplings, interaction_matrix
+from .chain import (ChainSpec, analytic_eigensystem, build_couplings, interaction_matrix,
+                    residual_MU_UD)
 from .dynamics import _sine_sum_2f1, amplitude_at_halfpi, amplitude_at_pi, correlation_matrix
 from .oracle import match_eigensystems, max_abs_residual, tridiag_eigen
 
@@ -101,11 +102,9 @@ def _identity_residuals(identity_terms, table, params):
 
 def _chain_residuals(spec):
     es = analytic_eigensystem(spec)
-    mat = interaction_matrix(build_couplings(spec)).to_dense()
     n = es.dimension
     u_orth = max_abs_residual(es.U.T @ es.U, np.eye(n))
-    emax = float(np.max(np.abs(es.eigenvalues)))
-    mu_ud = max_abs_residual(mat @ es.U, es.U * es.eigenvalues[None, :]) / emax
+    mu_ud = residual_MU_UD(spec) / float(np.max(np.abs(es.eigenvalues)))
     oracle = tridiag_eigen(interaction_matrix(build_couplings(spec)))
     match = match_eigensystems(es, oracle)
     oracle_resid = max(match.max_eigenvalue_rel_diff, match.max_overlap_deviation)
@@ -136,7 +135,6 @@ def run_verification(spec: ChainSpec, rtol: float | None = None) -> Verification
     """
     if rtol is not None and not rtol >= 0.0:
         raise ValueError(f"rtol must be nonnegative, got {rtol}")
-    tol = {k: (rtol if rtol is not None else v) for k, v in DEFAULT_TOLERANCES.items()}
     m_id = min(spec.m, _IDENTITY_M_CAP)
     plain = [hahn.HahnParams(a, b, m_id) for a, b in _CLASSICAL_GRID]
     deformed = [qhahn.QHahnParams(a, b, q, m_id) for q, a, b in _Q_GRID]
@@ -144,21 +142,14 @@ def run_verification(spec: ChainSpec, rtol: float | None = None) -> Verification
                                        hahn.weight_vector, hahn.norm_vector, plain),
                _orthogonality_residual(lambda p: qhahn.q_polynomial_table(p, rel=1e-15),
                                        qhahn.q_weight_vector, qhahn.q_norm_vector, deformed))
-    results = [SuiteResult("hahn-orthogonality", orth, tol["hahn-orthogonality"])]
-    d1, d2 = _identity_residuals(hahn._identity_terms, hahn.polynomial_table, plain)
-    results.append(SuiteResult("diff-eq-1", d1, tol["diff-eq-1"]))
-    results.append(SuiteResult("diff-eq-2", d2, tol["diff-eq-2"]))
-    # entries to the relative tolerance of scalar q_hahn_Q
-    qd1, qd2 = _identity_residuals(qhahn._identity_terms,
-                                   lambda p: qhahn.q_polynomial_table(p, rel=1e-14), deformed)
-    results.append(SuiteResult("q-diff-eq-1", qd1, tol["q-diff-eq-1"]))
-    results.append(SuiteResult("q-diff-eq-2", qd2, tol["q-diff-eq-2"]))
-    u_orth, mu_ud, oracle_resid, unit = _chain_residuals(spec)
-    results.append(SuiteResult("U-orthogonality", u_orth, tol["U-orthogonality"]))
-    results.append(SuiteResult("MU-UD", mu_ud, tol["MU-UD"]))
-    results.append(SuiteResult("oracle-match", oracle_resid, tol["oracle-match"]))
-    results.append(SuiteResult("correlation-unitarity", unit, tol["correlation-unitarity"]))
-    wk, wg = _special_time_residuals(spec.m)
-    results.append(SuiteResult("kummer", wk, tol["kummer"]))
-    results.append(SuiteResult("gauss", wg, tol["gauss"]))
-    return VerificationReport(tuple(results))
+    # in DEFAULT_TOLERANCES order; the q entries to the relative tolerance of scalar q_hahn_Q
+    residuals = dict(zip(DEFAULT_TOLERANCES, (
+        orth,
+        *_identity_residuals(hahn._identity_terms, hahn.polynomial_table, plain),
+        *_identity_residuals(qhahn._identity_terms,
+                             lambda p: qhahn.q_polynomial_table(p, rel=1e-14), deformed),
+        *_chain_residuals(spec),
+        *_special_time_residuals(spec.m)), strict=True))
+    return VerificationReport(tuple(
+        SuiteResult(name, r, DEFAULT_TOLERANCES[name] if rtol is None else rtol)
+        for name, r in residuals.items()))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,6 +138,9 @@ def test_spec_validation():
         ChainSpec(3, 3.0, 0.5, 0.5)   # alpha >= 1/q
     with pytest.raises(ValueError):
         ChainSpec(3, 0.5, 1.0, 0.5)   # q-case needs beta < 1
+    for alpha, beta in ((math.inf, 1.0), (0.5, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ChainSpec(3, alpha, beta)
     for m in (2.0, np.float64(2.0), "2"):
         with pytest.raises(ValueError, match="nonnegative integer"):
             ChainSpec(m, 0.5, 1.5)
@@ -177,6 +181,43 @@ def test_couplings_and_frequencies_finite_at_huge_beta():
                     [math.sqrt(6.0) * root_b, 2.0, math.sqrt(10.0) * root_b], rtol=1e-15)
     assert_allclose(mode_frequencies(spec),
                     [2.0 * math.sqrt(1.5) * root_b, 2.0 * math.sqrt(2.5) * root_b], rtol=1e-15)
+
+
+def test_out_of_range_couplings_and_frequencies_raise():
+    # q^350 = 1e-350 is below the double range at m = 700, q = 0.1; the plain
+    # products at alpha = beta = 1e308 have roots beyond it
+    for spec in (ChainSpec(700, 0.3, 0.2, 0.1), ChainSpec(1, 1e308, 1e308)):
+        with pytest.raises(ArithmeticError, match="not a finite normal double"):
+            build_couplings(spec)
+        with pytest.raises(ArithmeticError, match="not a finite normal double"):
+            mode_frequencies(spec)
+
+
+def _mp_couplings_and_frequencies(spec, dps=50):
+    # the defining products under one root, at dps digits
+    with mpmath.workdps(dps):
+        a, b, q = (mpmath.mpf(v) for v in (spec.alpha, spec.beta, spec.q))
+        m = spec.m
+        j = []
+        for k in range(m + 1):
+            j.append(2 * mpmath.sqrt((1 - a * q ** (k + 1)) * (1 - b * q ** (m - k)) * q ** k))
+            if k < m:
+                j.append(2 * mpmath.sqrt((1 - q ** (k + 1)) * (1 - q ** (m - k))
+                                         * q ** (k + 1) * a))
+        w = [2 * mpmath.sqrt((1 - a * q ** (k + 1)) * (1 - b * q ** k) * q ** (m - k))
+             for k in range(m + 1)]
+        return j, w
+
+
+@pytest.mark.parametrize("spec", [ChainSpec(40, 0.3, 0.2, 1e-9), ChainSpec(160, 0.3, 0.2, 0.01)])
+def test_deformed_couplings_and_frequencies_at_tiny_magnitudes(spec):
+    # q^k under the root is subnormal or 0 here long before the root is
+    # (omega_0 is 1.8e-180 and 1.8e-160)
+    ref_j, ref_w = _mp_couplings_and_frequencies(spec)
+    for got, ref in ((build_couplings(spec).values, ref_j), (mode_frequencies(spec), ref_w)):
+        assert len(got) == len(ref)
+        for g, r in zip(got.tolist(), ref):
+            assert abs((mpmath.mpf(g) - r) / r) <= 1e-15
 
 
 _deformed_specs = st.builds(

@@ -7,6 +7,7 @@ import pytest
 from hahnchain import cli
 from hahnchain.chain import ChainSpec, analytic_eigensystem, build_couplings
 from hahnchain.cli import main
+from hahnchain.verify import DEFAULT_TOLERANCES
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +81,52 @@ def test_eigvecs_json_contains_u(capsys):
     np.testing.assert_allclose(u.T @ u, np.eye(6), atol=1e-12)
     ref = analytic_eigensystem(ChainSpec(2, 0.3, 1.2)).U
     assert payload["U"] == [list(row) for row in ref]  # exact decimal round trip
+
+
+def test_eigvecs_csv_parses_to_the_bits_of_u(capsys):
+    code, out, _ = run_cli(capsys, "eigvecs", "--m", "2", "--alpha", "0.3", "--beta", "1.2",
+                           "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "i,u0,u1,u2,u3,u4,u5"
+    ref = analytic_eigensystem(ChainSpec(2, 0.3, 1.2)).U
+    assert [int(ln.split(",")[0]) for ln in lines[1:]] == list(range(6))
+    assert [[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]] == ref.tolist()
+
+
+def test_verify_csv_lists_every_suite(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--m", "4", "--alpha", "0.3", "--beta", "1.2",
+                           "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "suite,residual,tolerance,passed"
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert [r[0] for r in rows] == list(DEFAULT_TOLERANCES)
+    for name, residual, tolerance, passed in rows:
+        assert float(tolerance) == DEFAULT_TOLERANCES[name]
+        assert 0.0 <= float(residual) <= float(tolerance)
+        assert passed == "true"
+
+
+@pytest.mark.parametrize("grid", [["--steps", "0"], ["--t-min", "2", "--t-max", "2"],
+                                  ["--t-min", "3", "--t-max", "1"]])
+@pytest.mark.parametrize("command", ["correlate", "pst-scan"])
+def test_bad_time_grid_exits_one(capsys, command, grid):
+    sites = ["--r", "5", "--s", "0"] if command == "correlate" else []
+    code, out, err = run_cli(capsys, command, "--m", "2", "--alpha", "0.5", "--beta", "1.5",
+                             *sites, *grid, "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --")
+
+
+def test_spectrum_below_the_double_range_exits_one(capsys):
+    # omega_0 = 2 sqrt(...) q^350 at m = 700, q = 0.1 underflows to 0
+    code, out, err = run_cli(capsys, "spectrum", "--m", "700", "--alpha", "0.3", "--beta", "0.2",
+                             "--q", "0.1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: omega_0 = 0.0 is not a finite normal double\n"
 
 
 def test_correlate_csv_schema(capsys):

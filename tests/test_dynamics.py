@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from hahnchain import dynamics
-from hahnchain.chain import ChainSpec, analytic_eigensystem, mode_frequencies
+from hahnchain.chain import ChainSpec, EigenSystem, analytic_eigensystem, mode_frequencies
 from hahnchain.dynamics import (CorrelationSample, PSTResult, amplitude_at_halfpi,
                                 amplitude_at_pi, correlation,
                                 correlation_closed_form, correlation_matrix,
@@ -203,6 +203,8 @@ def test_sample_invariant_rejects_superunitary():
     with pytest.raises(ValueError):
         CorrelationSample(0, 0, 0.0, 1.5 + 0.0j)
     with pytest.raises(ValueError):
+        CorrelationSample(0, 0, 0.0, complex(math.nan, 0.0))
+    with pytest.raises(ValueError):
         PSTResult(0.0, 1.5, True)
 
 
@@ -237,10 +239,9 @@ def test_scan_matches_pointwise_and_eigen_expansion(spec):
 
 @pytest.mark.parametrize("spec", [ChainSpec(9, 0.3, 1.7), ChainSpec(7, 0.8, 0.4, 0.5)])
 def test_frequencies_cached_once_per_spec(spec):
-    w = dynamics._frequencies(spec)
+    w = mode_frequencies(spec)
     assert not w.flags.writeable
-    assert w.tolist() == mode_frequencies(spec).tolist()
-    assert dynamics._frequencies(spec) is w
+    assert mode_frequencies(spec) is w
     kernel = dynamics._general_kernel if spec.q is None else dynamics._fold_kernel
     assert kernel(spec)[1] is w
     es = analytic_eigensystem(spec)
@@ -291,3 +292,34 @@ def test_end_to_end_matches_eigen_expansion_property(m, alpha, beta, shifted, t)
     es = analytic_eigensystem(spec)
     ref = correlation(es, 2 * m + 1, 0, t).amplitude
     assert abs(end_to_end(spec, t).amplitude - ref) <= 1e-10
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_rejected(t):
+    spec, deformed = ChainSpec(4, 0.3, 1.3), ChainSpec(4, 0.8, 0.4, 0.5)
+    es = analytic_eigensystem(spec)
+    for call in (lambda: correlation(es, 0, 7, t),
+                 lambda: correlation_closed_form(spec, 0, 7, t),
+                 lambda: end_to_end(spec, t),
+                 lambda: q_end_to_end(deformed, t),
+                 lambda: correlation_matrix(es, t)):
+        with pytest.raises(ValueError, match="time must be finite"):
+            call()
+
+
+def test_sites_outside_the_chain_rejected():
+    spec = ChainSpec(2, 0.3, 1.3)
+    es = analytic_eigensystem(spec)
+    for r, s in ((6, 0), (0, -1)):
+        with pytest.raises(ValueError, match="outside"):
+            correlation(es, r, s, 0.5)
+        with pytest.raises(ValueError, match="outside"):
+            correlation_closed_form(spec, r, s, 0.5)
+
+
+def test_inconsistent_eigensystem_fails_the_fold_cross_check():
+    # U = I pairs no column m-j with a column m+j+1: the direct sum at site 0
+    # is e^{2it}, the folded one 2 cos 2t
+    es = EigenSystem(np.eye(4), np.array([-2.0, -1.0, 1.0, 2.0]))
+    with pytest.raises(ArithmeticError, match="direct and folded"):
+        correlation(es, 0, 0, 0.3)

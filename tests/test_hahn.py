@@ -12,7 +12,7 @@ from hahnchain.hahn import (HahnParams, diff_residual_1, diff_residual_2,
                             weight_vector)
 from hahnchain.qhahn import (QHahnParams, q_diff_residual_1, q_diff_residual_2,
                              q_hahn_Q, q_hahn_norm, q_hahn_orthonormal,
-                             q_hahn_weight)
+                             q_hahn_weight, q_polynomial_table)
 
 
 # ---- independent brute-force oracles (direct defining sums/products) ----
@@ -159,6 +159,17 @@ def test_orthonormal_table_at_large_beta(b):
     # sqrt(w/h) from log-gamma differences cancels catastrophically here
     tab = orthonormal_table(HahnParams(0.5, b, 3))
     assert np.max(np.abs(tab @ tab.T - np.eye(4))) <= 1e-12
+    assert np.max(np.abs(tab)) <= 1.0
+
+
+def test_values_past_the_double_range_are_signed_inf():
+    # the exact Q_2(3) and Q_3(3) are of order beta^2 and -beta^3 at beta = 1e308;
+    # the orthonormal values, scaled by sqrt(w/h_n), stay inside [-1, 1]
+    p = HahnParams(0.5, 1e308, 4)
+    assert hahn_Q(2, 3, p) == math.inf
+    assert hahn_Q(3, 3, p) == -math.inf
+    tab = orthonormal_table(p)
+    assert np.all(np.isfinite(tab))
     assert np.max(np.abs(tab)) <= 1.0
 
 
@@ -333,3 +344,11 @@ def test_numpy_integer_arguments_match_python_ints(pair):
     for f, p in zip(_PAIRS[pair], (_PLAIN, _DEFORMED)):
         assert f(np.int64(2), np.int32(1), p) == f(2, 1, p)
         assert f(np.uint8(3), np.int64(2), p) == f(3, 2, p)
+
+
+@pytest.mark.parametrize("rel", [0.0, -1.0, 1.0, math.nan])
+def test_table_tolerance_outside_unit_interval_rejected_by_both_families(rel):
+    for table, p in ((polynomial_table, _PLAIN), (q_polynomial_table, _DEFORMED)):
+        with pytest.raises(ValueError) as err:
+            table(p, rel=rel)
+        assert str(err.value) == f"rel must lie in (0, 1), got {rel}"
