@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from hahnchain import cli
 from hahnchain.chain import ChainSpec, analytic_eigensystem, build_couplings
 from hahnchain.cli import main
-from hahnchain.verify import DEFAULT_TOLERANCES
+from hahnchain.verify import DEFAULT_TOLERANCES, run_verification
 
 
 def run_cli(capsys, *argv):
@@ -338,3 +339,92 @@ def test_csv_uses_lf_and_repr_roundtrip(tmp_path, capsys):
     j = build_couplings(ChainSpec(2, 0.37, 2.1)).values
     parsed = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert parsed == list(j)  # repr round trip is exact
+
+
+_BASE_KEYS = ["m", "alpha", "beta", "q", "N"]
+
+
+@pytest.mark.parametrize("argv, keys, special", [
+    (["couplings", "--m", "1", "--alpha", "-0.5", "--beta", "0.5"],
+     [*_BASE_KEYS, "eigenvalues", "couplings"], None),
+    (["spectrum", "--m", "1", "--alpha", "-0.5", "--beta", "0.5"],
+     [*_BASE_KEYS, "eigenvalues"], None),
+    (["eigvecs", "--m", "1", "--alpha", "0.8", "--beta", "0.4", "--q", "0.5"],
+     [*_BASE_KEYS, "eigenvalues", "U"], None),
+    (["correlate", "--m", "1", "--alpha", "-0.5", "--beta", "0.5", "--r", "3", "--s", "0",
+      "--steps", "3"],
+     [*_BASE_KEYS, "eigenvalues", "r", "s", "samples", "special"],
+     ["half_pi", "pi", "rational_window"]),
+    (["correlate", "--m", "1", "--alpha", "0.8", "--beta", "0.4", "--q", "0.5", "--r", "3",
+      "--s", "0", "--steps", "3"],
+     [*_BASE_KEYS, "eigenvalues", "r", "s", "samples", "special"], ["q_closed_form"]),
+    (["correlate", "--m", "1", "--alpha", "0.3", "--beta", "1.2", "--r", "2", "--s", "1",
+      "--steps", "3"],
+     [*_BASE_KEYS, "eigenvalues", "r", "s", "samples"], None),
+    (["pst-scan", "--m", "1", "--alpha", "-0.5", "--beta", "0.5", "--steps", "3"],
+     [*_BASE_KEYS, "eigenvalues", "tolerance", "results"], None),
+    (["verify", "--m", "1", "--alpha", "-0.5", "--beta", "0.5"],
+     [*_BASE_KEYS, "suites", "passed"], None),
+])
+def test_json_key_order_and_layout(capsys, argv, keys, special):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == keys
+    if special is not None:
+        assert list(payload["special"]) == special
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+_HALF_PI_GRID = ["--steps", "2", "--t-max", "1.5707963267948966"]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["couplings"], "k,J\n0,1.7320508075688772\n1,2.0\n2,1.7320508075688772\n"),
+    (["spectrum"], "j,eigenvalue\n0,-3.0\n1,-1.0\n2,1.0\n3,3.0\n"),
+    (["eigvecs"],
+     "i,u0,u1,u2,u3\n"
+     "0,0.3535533905932737,0.6123724356957945,0.6123724356957945,0.3535533905932737\n"
+     "1,-0.6123724356957945,-0.3535533905932738,0.3535533905932738,0.6123724356957945\n"
+     "2,0.6123724356957946,-0.3535533905932738,-0.3535533905932738,0.6123724356957946\n"
+     "3,-0.3535533905932737,0.6123724356957945,-0.6123724356957945,0.3535533905932737\n"),
+    (["correlate", "--r", "3", "--s", "0", *_HALF_PI_GRID],
+     "t,re,im,abs\n0.0,0.0,0.0,0.0\n"
+     "1.5707963267948966,9.527693177929501e-34,0.9999999999999998,0.9999999999999998\n"),
+    (["pst-scan", *_HALF_PI_GRID],
+     "t,modulus,is_perfect\n0.0,0.0,false\n1.5707963267948966,1.0000000000000004,true\n"),
+])
+def test_csv_text_at_m1(capsys, argv, text):
+    code, out, _ = run_cli(capsys, *argv, "--m", "1", "--alpha", "-0.5", "--beta", "0.5",
+                           "--format", "csv")
+    assert code == 0
+    assert out == text
+
+
+def test_verify_csv_text_at_m1(capsys):
+    # the residuals are rounding noise of matrix products, so the rows are
+    # pinned against the report rather than as literals
+    code, out, _ = run_cli(capsys, "verify", "--m", "1", "--alpha", "-0.5", "--beta", "0.5",
+                           "--format", "csv")
+    assert code == 0
+    report = run_verification(ChainSpec(1, -0.5, 0.5))
+    assert out == "suite,residual,tolerance,passed\n" + "".join(
+        f"{s.name},{s.residual!r},{s.tolerance!r},{'true' if s.passed else 'false'}\n"
+        for s in report.suites)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_output_value_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                             fmt):
+    monkeypatch.setattr(cli, "build_couplings",
+                        lambda spec: SimpleNamespace(values=np.array([1.0, math.inf, 1.0])))
+    argv = ["couplings", "--m", "1", "--alpha", "-0.5", "--beta", "0.5", "--format", fmt]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "inf" in err
+    target = tmp_path / f"couplings.{fmt}"
+    code, out, _ = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert not target.exists()
