@@ -23,30 +23,14 @@ class VerificationFailure(Exception):
     pass
 
 
-def _base_payload(spec):
-    # the spectrum as analytic_eigensystem assembles it, without the eigenvectors
-    w = mode_frequencies(spec)
-    return {
-        "m": spec.m,
-        "alpha": spec.alpha,
-        "beta": spec.beta,
-        "q": spec.q,
-        "N": 2 * spec.m + 1,
-        "eigenvalues": list(np.concatenate((-w[::-1], w))),
-    }
-
-
-def _emit(text, output):
-    if output is None:
-        click.echo(text, nl=False)
-        return
-    with open(output, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def _json_text(payload):
-    # a non-finite value has no JSON token: ValueError, so exit code 1
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+def _head(spec, eigenvalues=True):
+    """The keys every JSON payload starts with."""
+    head = {"m": spec.m, "alpha": spec.alpha, "beta": spec.beta, "q": spec.q, "N": 2 * spec.m + 1}
+    if eigenvalues:
+        # the spectrum as analytic_eigensystem assembles it, without the eigenvectors
+        w = mode_frequencies(spec)
+        head["eigenvalues"] = list(np.concatenate((-w[::-1], w)))
+    return head
 
 
 def _csv_field(v):
@@ -57,11 +41,40 @@ def _csv_field(v):
     return repr(float(v))
 
 
-def _csv_text(header, rows):
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_csv_field(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _emit(fmt, output, header, rows, payload):
+    """Write the result as CSV (header and rows()) or as JSON (payload()).
+
+    Only the format asked for is built.  A non-finite value raises ValueError,
+    so exit code 1, before anything is written.
+    """
+    if fmt == "json":
+        text = json.dumps(payload(), indent=2, allow_nan=False) + "\n"
+    else:
+        text = "\n".join([header, *(",".join(map(_csv_field, row)) for row in rows())]) + "\n"
+    if output is None:
+        click.echo(text, nl=False)
+        return
+    with open(output, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def _amplitude(t, amp):
+    return {"t": t, "re": amp.real, "im": amp.imag, "abs": abs(amp)}
+
+
+def _special(spec, grid):
+    """correlate's closed-form values, where the spec admits them."""
+    special = {}
+    if spec.q is None and abs(spec.beta - (spec.alpha + 1.0)) <= _BETA_MATCH_TOL:
+        special["half_pi"] = _amplitude(math.pi / 2.0, amplitude_at_halfpi(spec))
+        special["pi"] = _amplitude(math.pi, amplitude_at_pi(spec))
+        window = pst_condition(spec.alpha)
+        special["rational_window"] = (
+            None if window is None else {"k": window.k, "l": window.l, "time": window.time})
+    if spec.q is not None and abs(spec.beta - spec.q * spec.alpha) <= _BETA_MATCH_TOL:
+        special["q_closed_form"] = [
+            _amplitude(t, v) for t, v in zip(grid.tolist(), _q_closed_form(spec, grid).tolist())]
+    return {"special": special} if special else {}
 
 
 def _spec_from(m, alpha, beta, q):
@@ -122,24 +135,16 @@ def couplings(m, alpha, beta, q, fmt, output):
     """Nearest-neighbour coupling strengths J_0..J_{N-1}."""
     spec = _spec_from(m, alpha, beta, q)
     j = build_couplings(spec)
-    if fmt == "json":
-        payload = _base_payload(spec)
-        payload["couplings"] = list(j.values)
-        _emit(_json_text(payload), output)
-    else:
-        _emit(_csv_text("k,J", list(enumerate(j.values))), output)
+    _emit(fmt, output, "k,J", lambda: enumerate(j.values),
+          lambda: {**_head(spec), "couplings": list(j.values)})
 
 
 @cli.command()
 @_chain_options
 def spectrum(m, alpha, beta, q, fmt, output):
     """Eigenvalues of the interaction matrix, ascending."""
-    spec = _spec_from(m, alpha, beta, q)
-    payload = _base_payload(spec)
-    if fmt == "json":
-        _emit(_json_text(payload), output)
-    else:
-        _emit(_csv_text("j,eigenvalue", list(enumerate(payload["eigenvalues"]))), output)
+    head = _head(_spec_from(m, alpha, beta, q))
+    _emit(fmt, output, "j,eigenvalue", lambda: enumerate(head["eigenvalues"]), lambda: head)
 
 
 @cli.command()
@@ -148,14 +153,9 @@ def eigvecs(m, alpha, beta, q, fmt, output):
     """Eigenvector matrix U (columns are eigenvectors) plus the spectrum."""
     spec = _spec_from(m, alpha, beta, q)
     es = analytic_eigensystem(spec)
-    if fmt == "json":
-        payload = _base_payload(spec)
-        payload["U"] = [list(row) for row in es.U]
-        _emit(_json_text(payload), output)
-    else:
-        header = "i," + ",".join(f"u{j}" for j in range(es.dimension))
-        rows = [(i, *row) for i, row in enumerate(es.U)]
-        _emit(_csv_text(header, rows), output)
+    _emit(fmt, output, "i," + ",".join(f"u{j}" for j in range(es.dimension)),
+          lambda: ((i, *row) for i, row in enumerate(es.U)),
+          lambda: {**_head(spec), "U": [list(row) for row in es.U]})
 
 
 @cli.command()
@@ -171,35 +171,11 @@ def correlate(m, alpha, beta, q, fmt, output, t_min, t_max, steps, r, s):
     grid = _time_grid(spec, t_min, t_max, steps)
     es = analytic_eigensystem(spec)
     samples = [correlation(es, r, s, float(t)) for t in grid]
-    if fmt == "csv":
-        rows = [(c.t, c.amplitude.real, c.amplitude.imag, abs(c.amplitude)) for c in samples]
-        _emit(_csv_text("t,re,im,abs", rows), output)
-        return
-    payload = _base_payload(spec)
-    payload["r"] = r
-    payload["s"] = s
-    payload["samples"] = [
-        {"t": c.t, "re": c.amplitude.real, "im": c.amplitude.imag, "abs": abs(c.amplitude)}
-        for c in samples
-    ]
-    special = {}
-    if q is None and abs(beta - (alpha + 1.0)) <= _BETA_MATCH_TOL:
-        for label, t_special, amp in (
-            ("half_pi", math.pi / 2.0, amplitude_at_halfpi(spec)),
-            ("pi", math.pi, amplitude_at_pi(spec)),
-        ):
-            special[label] = {"t": t_special, "re": amp.real, "im": amp.imag, "abs": abs(amp)}
-        window = pst_condition(alpha)
-        special["rational_window"] = (
-            None if window is None else {"k": window.k, "l": window.l, "time": window.time})
-    if q is not None and abs(beta - q * alpha) <= _BETA_MATCH_TOL:
-        special["q_closed_form"] = [
-            {"t": t, "re": v.real, "im": v.imag, "abs": abs(v)}
-            for t, v in zip(grid.tolist(), _q_closed_form(spec, grid).tolist())
-        ]
-    if special:
-        payload["special"] = special
-    _emit(_json_text(payload), output)
+    _emit(fmt, output, "t,re,im,abs",
+          lambda: ((c.t, c.amplitude.real, c.amplitude.imag, abs(c.amplitude)) for c in samples),
+          lambda: {**_head(spec), "r": r, "s": s,
+                   "samples": [_amplitude(c.t, c.amplitude) for c in samples],
+                   **_special(spec, grid)})
 
 
 @cli.command(name="pst-scan")
@@ -209,18 +185,11 @@ def correlate(m, alpha, beta, q, fmt, output, t_min, t_max, steps, r, s):
 def pst_scan_cmd(m, alpha, beta, q, fmt, output, t_min, t_max, steps, tolerance):
     """Scan |f_{N,0}(t)| over a time grid and flag perfect-transfer instants."""
     spec = _spec_from(m, alpha, beta, q)
-    grid = _time_grid(spec, t_min, t_max, steps)
-    results = pst_scan(spec, grid, tolerance=tolerance)
-    if fmt == "csv":
-        rows = [(p.time, p.modulus, "true" if p.is_perfect else "false") for p in results]
-        _emit(_csv_text("t,modulus,is_perfect", rows), output)
-        return
-    payload = _base_payload(spec)
-    payload["tolerance"] = tolerance
-    payload["results"] = [
-        {"t": p.time, "modulus": p.modulus, "is_perfect": p.is_perfect} for p in results
-    ]
-    _emit(_json_text(payload), output)
+    results = pst_scan(spec, _time_grid(spec, t_min, t_max, steps), tolerance=tolerance)
+    _emit(fmt, output, "t,modulus,is_perfect",
+          lambda: ((p.time, p.modulus, "true" if p.is_perfect else "false") for p in results),
+          lambda: {**_head(spec), "tolerance": tolerance, "results": [
+              {"t": p.time, "modulus": p.modulus, "is_perfect": p.is_perfect} for p in results]})
 
 
 @cli.command()
@@ -230,15 +199,11 @@ def verify(m, alpha, beta, q, fmt, output, rtol):
     """Run the full identity battery; exit 2 if any suite fails."""
     spec = _spec_from(m, alpha, beta, q)
     report = run_verification(spec, rtol=rtol)
-    if fmt == "csv":
-        rows = [(s.name, s.residual, s.tolerance, "true" if s.passed else "false")
-                for s in report.suites]
-        text = _csv_text("suite,residual,tolerance,passed", rows)
-    else:
-        payload = {"m": spec.m, "alpha": spec.alpha, "beta": spec.beta, "q": spec.q,
-                   "N": 2 * spec.m + 1, "suites": report.as_dict(), "passed": report.passed}
-        text = _json_text(payload)
-    _emit(text, output)
+    _emit(fmt, output, "suite,residual,tolerance,passed",
+          lambda: ((s.name, s.residual, s.tolerance, "true" if s.passed else "false")
+                   for s in report.suites),
+          lambda: {**_head(spec, eigenvalues=False), "suites": report.as_dict(),
+                   "passed": report.passed})
     if not report.passed:
         raise VerificationFailure()
 
