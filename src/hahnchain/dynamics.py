@@ -125,11 +125,17 @@ def correlation_matrix(es: EigenSystem, t: float) -> np.ndarray:
     return (es.U * phases[None, :]) @ es.U.T
 
 
+@lru_cache(maxsize=128)  # the specs whose two tables the 256-entry table caches hold
+def _profile_tables(spec: ChainSpec):
+    """The orthonormal tables of the even-site and odd-site families."""
+    return _family_tables(spec)
+
+
 def _mode_profile(spec: ChainSpec, site: int) -> np.ndarray:
     """g_site(j) with U_{site, m-j} = g_site(j)/sqrt(2): signed orthonormal values."""
     k, odd = divmod(site, 2)
     sign = -1.0 if odd else 1.0
-    return sign * (-1.0) ** k * _family_tables(spec)[odd][:, k]
+    return sign * (-1.0) ** k * _profile_tables(spec)[odd][:, k]
 
 
 def correlation_closed_form(spec: ChainSpec, r: int, s: int, t: float) -> CorrelationSample:
@@ -261,11 +267,14 @@ def pst_condition(alpha: float, tolerance: float = 1e-12,
     """Smallest (k, l) with 2*alpha+1 = 2l/(2k+1), scanning odd denominators.
 
     Returns the window with its transfer time (2k+1)pi/2, or None when no
-    rational match exists within the denominator bound.
+    rational match exists within the denominator bound.  ValueError unless
+    alpha > -1 with 2*alpha+1 finite, and 0 <= tolerance < inf.
     """
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
     target = 2.0 * alpha + 1.0
+    if not (alpha > -1.0 and math.isfinite(target)):
+        raise ValueError(f"alpha must exceed -1 with 2*alpha+1 finite, got {alpha}")
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must lie in [0, inf), got {tolerance}")
     k = 0
     while 2 * k + 1 <= max_denominator:
         l = round(target * (2 * k + 1) / 2.0)
@@ -326,13 +335,17 @@ def pst_scan(spec: ChainSpec, t_grid, tolerance: float = 1e-9) -> list[PSTResult
 
     The undeformed chain uses the dedicated end-to-end closed form; the
     deformed chain uses the folded eigen-expansion.  Either way the grid is
-    one sine product against the spec's cached kernel.
+    one sine product against the spec's cached kernel.  The grid must be
+    finite, nonempty and strictly increasing.
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(f"tolerance must lie in [0, 1), got {tolerance}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("time grid must be nonempty")
+    non_finite = t_grid[~np.isfinite(t_grid)]
+    if non_finite.size:
+        _check_time(non_finite[0])
     if t_grid.size > 1 and not np.all(np.diff(t_grid) > 0.0):
         raise ValueError("time grid must be strictly increasing")
     if spec.q is None:

@@ -131,10 +131,11 @@ def _special_time_residuals(m_id):
 def run_verification(spec: ChainSpec, rtol: float | None = None) -> VerificationReport:
     """Run every suite; identity grids use lattice size min(spec.m, 24).
 
-    When rtol is given it replaces every per-suite default tolerance.
+    When rtol is given it replaces every per-suite default tolerance; it must
+    be finite and nonnegative.
     """
-    if rtol is not None and not rtol >= 0.0:
-        raise ValueError(f"rtol must be nonnegative, got {rtol}")
+    if rtol is not None and not 0.0 <= rtol < math.inf:
+        raise ValueError(f"rtol must be finite and nonnegative, got {rtol}")
     m_id = min(spec.m, _IDENTITY_M_CAP)
     plain = [hahn.HahnParams(a, b, m_id) for a, b in _CLASSICAL_GRID]
     deformed = [qhahn.QHahnParams(a, b, q, m_id) for q, a, b in _Q_GRID]

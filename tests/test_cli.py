@@ -305,7 +305,7 @@ def test_verify_failure_exits_two(capsys):
     assert payload["passed"] is False
 
 
-@pytest.mark.parametrize("rtol", ["-1", "nan"])
+@pytest.mark.parametrize("rtol", ["-1", "nan", "inf"])
 def test_verify_rejects_negative_or_nan_rtol(capsys, rtol):
     code, out, err = run_cli(capsys, "verify", "--m", "4", "--alpha", "0.3", "--beta", "1.2",
                              "--rtol", rtol)

@@ -131,6 +131,35 @@ def test_rational_window_rejects_generic_alpha():
     assert pst_condition(0.123, max_denominator=50) is None
 
 
+@pytest.mark.parametrize("alpha, tolerance", [
+    (math.inf, 1e-12), (math.nan, 1e-12), (-1.0, 1e-12), (1e308, 1e-12),  # 2*alpha+1 = inf
+    (0.5, math.nan), (0.5, -1e-3), (0.5, math.inf)])
+def test_rational_window_domain(alpha, tolerance):
+    with pytest.raises(ValueError, match="alpha|tolerance"):
+        pst_condition(alpha, tolerance=tolerance)
+
+
+def test_profile_tables_fetched_once_per_spec(monkeypatch):
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return family_tables(spec)
+
+    family_tables = dynamics._family_tables
+    monkeypatch.setattr(dynamics, "_family_tables", counting)
+    dynamics._profile_tables.cache_clear()
+    spec = ChainSpec(20, 0.3, 1.2)
+    try:
+        samples = [correlation_closed_form(spec, 5, 8, t) for t in (0.3, 1.3, 2.3)]
+    finally:
+        dynamics._profile_tables.cache_clear()
+    assert calls == [spec]
+    es = analytic_eigensystem(spec)
+    for c in samples:
+        assert abs(c.amplitude - correlation(es, 5, 8, c.t).amplitude) <= 1e-12
+
+
 def test_q_end_to_end_zero_time():
     spec = ChainSpec(3, 0.8, 0.4, 0.5)
     assert q_end_to_end(spec, 0.0) == 0.0
@@ -302,7 +331,9 @@ def test_non_finite_times_rejected(t):
                  lambda: correlation_closed_form(spec, 0, 7, t),
                  lambda: end_to_end(spec, t),
                  lambda: q_end_to_end(deformed, t),
-                 lambda: correlation_matrix(es, t)):
+                 lambda: correlation_matrix(es, t),
+                 *(lambda g=grid, sp=sp: pst_scan(sp, g)
+                   for sp in (spec, deformed) for grid in ([t], [0.0, t]))):
         with pytest.raises(ValueError, match="time must be finite"):
             call()
 
