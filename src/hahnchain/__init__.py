@@ -30,14 +30,16 @@ def stats() -> dict:
     "entries" counts the q-series entries certified per tier ("double",
     "double-double", "mpmath") and per series form ("direct",
     "transformed"); "max_mp_dps" is the largest mpmath precision used;
-    "cache" gives the hits and misses of the q_orthonormal_table and
-    analytic_eigensystem caches since each was last cleared.
+    "cache" gives the hits and misses of the orthonormal_table,
+    q_orthonormal_table, mode_frequencies and analytic_eigensystem caches
+    since each was last cleared.
     """
     from . import _series
 
     snap = _series.stats()
     snap["cache"] = {f.__name__: {"hits": f.cache_info().hits, "misses": f.cache_info().misses}
-                     for f in (q_orthonormal_table, analytic_eigensystem)}
+                     for f in (orthonormal_table, q_orthonormal_table, mode_frequencies,
+                               analytic_eigensystem)}
     return snap
 
 

@@ -5,10 +5,13 @@ connect the (alpha, beta) and (alpha+1, beta-1) families.
 Polynomial values, weight and norm vectors and orthonormal tables are exact
 rationals evaluated in integers: alpha and beta are doubles, hence dyadic
 rationals A/E and B/E with E a power of two, so every term coefficient of the
-terminating series is an integer over one common denominator per degree.  Each
-value then costs one integer Horner sum and one correctly rounded division, at
-any size and without cancellation.  The scalar weight, norm and orthonormal
-functions are entries of the same exact vectors and tables.
+terminating series is an integer over one common denominator c_0 per degree.
+A table row n takes the integers c_0 Q_n(x), x = 0..m, from the difference
+equation in x, one exact integer step per entry, so a table costs O(m^2)
+big-integer steps; each entry is then one correctly rounded division, at any
+size and without cancellation.  The scalar hahn_Q sums the series itself, an
+independent exact route to the same values.  The scalar weight, norm and
+orthonormal functions are entries of the same exact vectors and tables.
 """
 
 import math
@@ -118,11 +121,42 @@ def _coefficients(n, a, b, e, m):
 
 
 def _horner(coeffs, x):
-    """sum_k coeffs[k] (-x)_k; the terms past k = x vanish."""
+    """sum_k coeffs[k] (-x)_k; the terms past k = x vanish.  Used by the scalar
+    hahn_Q only; the tables take their rows from _integer_rows."""
     acc = 0
     for k in range(min(len(coeffs) - 1, x), -1, -1):
         acc = coeffs[k] + (k - x) * acc
     return acc
+
+
+def _integer_rows(p, degrees):
+    """(c_0, [N(0), ..., N(m)]) with N(x) = c_0 Q_n(x), for each n in degrees.
+
+    The difference equation in x (Koekoek, Lesky and Swarttouw, 2010, (9.5.5)),
+    lam y(x) = B(x) y(x+1) - [B(x) + D(x)] y(x) + D(x) y(x-1) with
+    B(x) = (x+alpha+1)(x-m), D(x) = x(x-beta-m-1) and lam = n(n+alpha+beta+1),
+    times E is an integer step
+    N(x+1) = ((EB + ED + E lam) N(x) - ED N(x-1)) / EB(x), exact because every
+    N(x) = sum_k c_k (-x)_k is an integer; EB(x) != 0 for x < m.  ED(0) = 0, so
+    the first step gives N(1) = c_0 - c_1 from N(0) = c_0 alone.
+    """
+    a, b, e = _dyadic(p)
+    m = p.m
+    steps = []  # (EB + ED, ED, EB) at x = 0..m-1, the same for every degree
+    for x in range(m):
+        eb, ed = (e * x + e + a) * (x - m), x * (e * x - b - e * (m + 1))
+        steps.append((eb + ed, ed, eb))
+    c0 = [1]  # c_0 of degree n: prod_{j<n} (j+1)(E(j+1)+A)(m-j), as in _coefficients
+    for j in range(max(degrees, default=0)):
+        c0.append(c0[-1] * (j + 1) * (e * (j + 1) + a) * (m - j))
+    for n in degrees:
+        lam = n * (e * (n + 1) + a + b)
+        prev, cur = 0, c0[n]
+        row = [cur]
+        for s, ed, eb in steps:
+            prev, cur = cur, ((s + lam) * cur - ed * prev) // eb
+            row.append(cur)
+        yield c0[n], row
 
 
 def _to_float(num, den):
@@ -252,12 +286,8 @@ def polynomial_table(p: HahnParams, rel: float = 1e-13) -> np.ndarray:
     tolerance rel in (0, 1) down to the double rounding unit.
     """
     _check_rel(rel)
-    ints = _dyadic(p)
-    out = np.empty((p.m + 1, p.m + 1))
-    for n in range(p.m + 1):
-        coeffs = _coefficients(n, *ints, p.m)
-        out[n] = [_to_float(_horner(coeffs, x), coeffs[0]) for x in range(p.m + 1)]
-    return out
+    return np.array([[_to_float(v, c0) for v in row]
+                     for c0, row in _integer_rows(p, range(p.m + 1))])
 
 
 def _orthonormal_rows(p, degrees):
@@ -267,15 +297,13 @@ def _orthonormal_rows(p, degrees):
     two so no intermediate leaves the double range; each entry carries a few
     roundings of relative error, for any m, alpha and beta.
     """
-    ints = _dyadic(p)
     w, h = _weights_and_norms(p)
     sw, kw = zip(*(_sqrt_split(num, den) for num, den in w))
     sh, kh = zip(*(_sqrt_split(h[n][1], h[n][0]) for n in degrees))
     f = np.empty((len(degrees), p.m + 1))
     k = np.empty(f.shape, dtype=np.int64)
-    for i, n in enumerate(degrees):
-        coeffs = _coefficients(n, *ints, p.m)
-        f[i], k[i] = zip(*(_split(_horner(coeffs, x), coeffs[0]) for x in range(p.m + 1)))
+    for i, (c0, row) in enumerate(_integer_rows(p, degrees)):
+        f[i], k[i] = zip(*(_split(v, c0) for v in row))
     out = np.ldexp(f * np.outer(sh, sw), k + np.add.outer(kh, kw))
     np.clip(out, -1.0, 1.0, out=out)  # rounding must not push |S| past its bound 1
     return out

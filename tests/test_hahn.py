@@ -194,11 +194,27 @@ def test_table_matches_scalar_evaluations():
 
 
 def test_polynomial_table_matches_scalar():
-    p = HahnParams(-0.5, 2.0, 8)
-    tab = polynomial_table(p)
-    for n in range(9):
-        for x in range(9):
-            assert_allclose(tab[n, x], hahn_Q(n, x, p), rtol=1e-10, atol=1e-13)
+    # the table (difference equation in x) and hahn_Q (series sum) take two exact
+    # routes to the same correctly rounded values
+    base = HahnParams(-0.5, 2.0, 8)
+    for p in (base, base.shifted()):
+        scalar = [[hahn_Q(n, x, p) for x in range(9)] for n in range(9)]
+        assert np.array_equal(polynomial_table(p), scalar)
+
+
+@pytest.mark.parametrize("a,b", [(-0.9, 0.1), (0.37, 2.4), (0.5, 1e8), (1e-300, 0.5)])
+def test_integer_rows_equal_the_series_sums(a, b):
+    # the difference equation in x gives the very integers c_0 Q_n(x) of the Horner sum
+    for m in (0, 1, 2, 3, 12, 40):
+        base = HahnParams(a, b, m)
+        for p in (base, base.shifted()):
+            ints = hahn._dyadic(p)
+            rows = list(hahn._integer_rows(p, range(m + 1)))
+            for n, (c0, row) in enumerate(rows):
+                coeffs = hahn._coefficients(n, *ints, m)
+                assert c0 == coeffs[0]
+                assert row == [hahn._horner(coeffs, x) for x in range(m + 1)]
+            assert list(hahn._integer_rows(p, [m])) == rows[-1:]  # one degree alone
 
 
 def test_unnormalized_orthogonality_identity():

@@ -1,7 +1,8 @@
 import pytest
 
 import hahnchain
-from hahnchain.chain import ChainSpec, analytic_eigensystem
+from hahnchain.chain import ChainSpec, analytic_eigensystem, mode_frequencies
+from hahnchain.hahn import orthonormal_table
 from hahnchain.qhahn import q_orthonormal_table
 
 
@@ -21,6 +22,20 @@ def test_cold_deformed_build_skips_mpmath(q, a, b):
     assert snap["max_mp_dps"] == 0
     assert snap["cache"]["q_orthonormal_table"] == {"hits": 0, "misses": 2}
     assert snap["cache"]["analytic_eigensystem"] == {"hits": 1, "misses": 1}
+
+
+def test_cold_plain_build_cache_counts():
+    for cache in (analytic_eigensystem, orthonormal_table, q_orthonormal_table, mode_frequencies):
+        cache.cache_clear()
+    spec = ChainSpec(20, 0.3, 0.2)
+    analytic_eigensystem(spec)
+    analytic_eigensystem(spec)
+    assert hahnchain.stats()["cache"] == {
+        "orthonormal_table": {"hits": 0, "misses": 2},
+        "q_orthonormal_table": {"hits": 0, "misses": 0},
+        "mode_frequencies": {"hits": 0, "misses": 1},
+        "analytic_eigensystem": {"hits": 1, "misses": 1},
+    }
 
 
 def test_stats_is_a_snapshot():
